@@ -18,8 +18,9 @@
 //! One benchmark iteration is one wave of `WAVE_TXNS` transactions from
 //! all producers, timed until the consumers have drained every message,
 //! so txns/sec is `WAVE_TXNS / (ns-per-iter * 1e-9)`. The closing summary
-//! prints both planes' txn/s and the ratio — the number behind the
-//! "batched transport vs mpsc baseline" ROADMAP entry.
+//! prints both planes' txn/s and the ratio. `M6_GATE=<ratio>` (the CI
+//! floor) fails the process if `ring-batched` falls below `<ratio>` × the
+//! `mpsc-single` baseline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -260,14 +261,28 @@ fn throughput(c: &mut Criterion) {
             ("txn_per_sec", Json::Num(txn_per_sec)),
         ]);
     }
-    if let [(_, ring), (_, mpsc)] = summary[..] {
-        println!(
-            "    -> plane ratio at 8 producers x 4 shards: {:.2}x (ring-batched vs mpsc-single)",
-            ring / mpsc
-        );
-        traj.meta("plane_ratio", Json::Num(ring / mpsc));
-    }
+    let [(_, ring), (_, mpsc)] = summary[..] else {
+        unreachable!("both planes measured");
+    };
+    let ratio = ring / mpsc;
+    println!(
+        "    -> plane ratio at 8 producers x 4 shards: {ratio:.2}x (ring-batched vs mpsc-single)"
+    );
+    traj.meta("plane_ratio", Json::Num(ratio));
     traj.emit();
+    if let Some(gate) = std::env::var("M6_GATE")
+        .ok()
+        .and_then(|s| s.parse::<f64>().ok())
+    {
+        if ratio < gate {
+            eprintln!(
+                "FAIL: ring-batched message plane is below the required \
+                 {gate:.2}x of the mpsc-single baseline"
+            );
+            std::process::exit(1);
+        }
+        println!("    -> m6 gate passed (required {gate:.2}x)");
+    }
 }
 
 criterion_group!(benches, throughput);

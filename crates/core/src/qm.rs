@@ -136,6 +136,10 @@ pub struct QueueManager {
     /// chain head instead of the newest version at or below the requested
     /// timestamp — torn reads, demonstrably non-serializable.
     snapshot_validation: bool,
+    /// When false (the mutation switch), [`QueueManager::apply_confluent`]
+    /// skips its refusal rules and writes through coordinated work —
+    /// demonstrably non-serializable.
+    confluence_check: bool,
 }
 
 impl QueueManager {
@@ -151,6 +155,7 @@ impl QueueManager {
             watermark: Timestamp::ZERO,
             version_retain: crate::item::DEFAULT_VERSION_RETAIN,
             snapshot_validation: true,
+            confluence_check: true,
         }
     }
 
@@ -333,6 +338,14 @@ impl QueueManager {
         self.snapshot_validation = validate;
     }
 
+    /// Toggle the refusal check of [`QueueManager::apply_confluent`]. On
+    /// by default; turning it off exists only as the mutation switch
+    /// demonstrating the check is load-bearing: an unchecked bypass
+    /// admits non-serializable histories.
+    pub fn set_confluence_check(&mut self, check: bool) {
+        self.confluence_check = check;
+    }
+
     /// Serve a snapshot read at `ts`: for every item, the newest committed
     /// version with stamp at or below `ts`, appended to `out` as
     /// `(item, value, served_ts)` — `served_ts` is the stamp of the version
@@ -506,7 +519,8 @@ impl QueueManager {
     /// serializability oracle.
     ///
     /// Safety rests on an all-or-nothing refusal check performed *before*
-    /// any mutation (when `check` is true):
+    /// any mutation (unless switched off by
+    /// [`QueueManager::set_confluence_check`]):
     ///
     /// * `Add`/`Put` refuse unless the touched slot is fully idle (no held
     ///   locks, no queued work) — a bypass write racing granted or queued
@@ -521,9 +535,7 @@ impl QueueManager {
     /// ops, in op order) when applied, `None` when refused — the caller
     /// falls back to the coordinated path. Ops addressing items this site
     /// does not hold always refuse (routing bug or replicated copy; both
-    /// belong on the coordinated path). With `check == false` the refusal
-    /// rules are skipped — the mutation switch used to demonstrate that an
-    /// unchecked bypass admits non-serializable histories.
+    /// belong on the coordinated path).
     ///
     /// Timestamps (`r_ts`/`w_ts`) are deliberately untouched: the bypass
     /// only applies to slots with no coordinated work in flight, and a
@@ -535,7 +547,6 @@ impl QueueManager {
         _origin: SiteId,
         txn: TxnId,
         ops: &[ConfluentOp],
-        check: bool,
         commit_ts: Timestamp,
         sink: &mut QmSink,
     ) -> Option<Vec<(PhysicalItemId, Value)>> {
@@ -543,7 +554,7 @@ impl QueueManager {
         // anything — refusal must leave the site exactly as it was.
         for op in ops {
             let slot = self.slot_of(op.item())?;
-            if check {
+            if self.confluence_check {
                 let item = &self.items[slot];
                 let blocked = match op {
                     ConfluentOp::Read(_) => item.confluent_read_blocked(),
@@ -749,7 +760,7 @@ mod tests {
         qm.add_item(pi(1, 0), 10, EnforcementMode::SemiLock);
         let mut sink = QmSink::new();
         let ops = [ConfluentOp::Add(pi(1, 0), 5)];
-        qm.apply_confluent(SiteId(0), TxnId(7), &ops, true, Timestamp(4), &mut sink)
+        qm.apply_confluent(SiteId(0), TxnId(7), &ops, Timestamp(4), &mut sink)
             .expect("idle item accepts the bypass");
         assert!(sink.events.iter().any(|e| matches!(
             e,
@@ -989,7 +1000,7 @@ mod tests {
             ConfluentOp::Read(pi(1, 0)),
         ];
         let reads = qm
-            .apply_confluent(SiteId(0), TxnId(7), &ops, true, Timestamp::ZERO, &mut sink)
+            .apply_confluent(SiteId(0), TxnId(7), &ops, Timestamp::ZERO, &mut sink)
             .expect("idle items must accept the bypass");
         assert_eq!(reads, vec![(pi(1, 0), 15)], "read sees the applied add");
         assert_eq!(qm.value_of(pi(1, 0)), Some(15));
@@ -1014,7 +1025,7 @@ mod tests {
         let mut sink = QmSink::new();
         for op in [ConfluentOp::Add(pi(1, 0), 1), ConfluentOp::Put(pi(1, 0), 0)] {
             assert!(
-                qm.apply_confluent(SiteId(0), TxnId(9), &[op], true, Timestamp::ZERO, &mut sink)
+                qm.apply_confluent(SiteId(0), TxnId(9), &[op], Timestamp::ZERO, &mut sink)
                     .is_none(),
                 "{op:?} must refuse on a locked item"
             );
@@ -1039,7 +1050,6 @@ mod tests {
                 SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(1, 0))],
-                true,
                 Timestamp::ZERO,
                 &mut sink,
             )
@@ -1055,7 +1065,6 @@ mod tests {
                 SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(2, 0))],
-                true,
                 Timestamp::ZERO,
                 &mut sink,
             )
@@ -1071,7 +1080,6 @@ mod tests {
                 SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(1, 0))],
-                true,
                 Timestamp::ZERO,
                 &mut sink,
             )
@@ -1092,7 +1100,7 @@ mod tests {
         // be applied.
         let ops = [ConfluentOp::Add(pi(1, 0), 5), ConfluentOp::Add(pi(2, 0), 5)];
         assert!(qm
-            .apply_confluent(SiteId(0), TxnId(9), &ops, true, Timestamp::ZERO, &mut sink)
+            .apply_confluent(SiteId(0), TxnId(9), &ops, Timestamp::ZERO, &mut sink)
             .is_none());
         assert_eq!(qm.value_of(pi(1, 0)), Some(10));
         assert!(sink.events.is_empty());
@@ -1102,7 +1110,7 @@ mod tests {
             ConfluentOp::Add(pi(77, 0), 5),
         ];
         assert!(qm
-            .apply_confluent(SiteId(0), TxnId(9), &ops, true, Timestamp::ZERO, &mut sink)
+            .apply_confluent(SiteId(0), TxnId(9), &ops, Timestamp::ZERO, &mut sink)
             .is_none());
         assert_eq!(qm.value_of(pi(1, 0)), Some(10));
     }
@@ -1116,15 +1124,15 @@ mod tests {
             &access(1, pi(1, 0), AccessMode::Write, CcMethod::TwoPhaseLocking, 0),
         );
         let mut sink = QmSink::new();
-        // check = false: the mutation switch writes straight through the
-        // held write lock (this is what the non-serializable-history test
-        // in the runtime exploits).
+        // The mutation switch writes straight through the held write lock
+        // (this is what the non-serializable-history test in the runtime
+        // exploits).
+        qm.set_confluence_check(false);
         let reads = qm
             .apply_confluent(
                 SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Add(pi(1, 0), 5)],
-                false,
                 Timestamp::ZERO,
                 &mut sink,
             )
@@ -1137,7 +1145,6 @@ mod tests {
                 SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(88, 0))],
-                false,
                 Timestamp::ZERO,
                 &mut sink,
             )

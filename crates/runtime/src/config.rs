@@ -25,38 +25,39 @@ pub enum CcPolicy {
     DynamicStl,
 }
 
-/// Which message plane carries protocol messages from client threads to
-/// the shard threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The batched lock-free plane (default): per-transaction sends are
-    /// grouped per destination shard and enqueued on a bounded MPSC ring
-    /// (`transport::ring`); each shard wakeup drains the whole ring.
-    #[default]
-    BatchedRing,
-    /// The pre-batching baseline: one `std::sync::mpsc` sync-channel send
-    /// per protocol message, one recv per shard wakeup. Kept for
-    /// overhead comparisons (the `exp9` `*-mpsc` rows).
-    Mpsc,
+/// Test-only mutation switches. Each one turns off a safety check so a
+/// test can prove the check is load-bearing: with the check off, the
+/// runtime admits a history the check exists to prevent. Production code
+/// keeps the defaults (every check on).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TestHooks {
+    /// The at-apply refusal check of the confluent bypass: the queue
+    /// manager refuses a fast-path transaction whenever a touched slot
+    /// has queued or granted coordinated work. Off also lets a
+    /// multi-site footprint take the bypass.
+    pub confluence_check: bool,
+    /// The watermark check of the snapshot plane: a snapshot read serves
+    /// the newest version stamped at or below the global read watermark.
+    /// Off serves the raw chain head, so uncommitted prefixes of
+    /// in-flight multi-item writers become visible.
+    pub snapshot_validation: bool,
+    /// Suppression of re-delivered duplicate `Access` messages at the
+    /// queue manager (keyed by the queued incarnation — ids are never
+    /// reused, so a second `Access` from the same incarnation at an item
+    /// it already queued at is a transport-level duplicate). Off admits
+    /// double-queued entries under the duplicate-injection schedule.
+    pub dedup_access: bool,
 }
 
-/// Which reply plane routes shard replies and deadlock-victim signals
-/// back to the waiting client threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplyPlaneKind {
-    /// The lock-free slab plane (default): each client thread drives its
-    /// transaction through a reusable bounded mailbox acquired from a
-    /// shared slab; delivery resolves `TxnId → mailbox` through a packed
-    /// atomic index and the transaction id doubles as the incarnation
-    /// tag that drops stale replies. No lock and no allocation on the
-    /// reply path.
-    #[default]
-    Mailbox,
-    /// The pre-slab baseline: a global `Mutex<HashMap>` of
-    /// per-incarnation `std::sync::mpsc` channels, one allocated per
-    /// incarnation. Kept for overhead comparisons (the `exp9`
-    /// `reply=mpsc` rows).
-    Mpsc,
+impl Default for TestHooks {
+    fn default() -> Self {
+        TestHooks {
+            confluence_check: true,
+            snapshot_validation: true,
+            dedup_access: true,
+        }
+    }
 }
 
 /// Errors reported by [`RuntimeConfig::validate`].
@@ -126,23 +127,18 @@ pub struct RuntimeConfig {
     pub policy: CcPolicy,
     /// PA's backoff interval `INT` (in timestamp units).
     pub pa_backoff_interval: u64,
-    /// Bound of each shard's command inbox; clients block (backpressure)
-    /// when a shard falls behind. For [`TransportKind::BatchedRing`] the
-    /// bound is rounded up to the next power of two.
+    /// Bound of each shard's command inbox, a lock-free ring (rounded up
+    /// to the next power of two); clients block (backpressure) when a
+    /// shard falls behind.
     pub shard_inbox_capacity: usize,
-    /// The message plane between clients and shards.
-    pub transport: TransportKind,
-    /// The reply plane between shards/detector and waiting clients.
-    pub reply_plane: ReplyPlaneKind,
-    /// Bound of each reusable reply mailbox ([`ReplyPlaneKind::Mailbox`]
-    /// only; rounded up to the next power of two). Must exceed the
+    /// Bound of each reusable reply mailbox (rounded up to the next
+    /// power of two). Must exceed the
     /// replies one incarnation can have outstanding while its client is
     /// between drains — in this runtime, a couple of replies per
     /// accessed item — or delivering shards briefly yield for the
     /// consumer.
     pub reply_mailbox_capacity: usize,
-    /// Maximum concurrently open transactions ([`ReplyPlaneKind::Mailbox`]
-    /// only): the reply-mailbox slab holds one reusable mailbox per open
+    /// Maximum concurrently open transactions: the reply-mailbox slab holds one reusable mailbox per open
     /// transaction and `begin` fails with
     /// [`crate::TxnError::ReplyPlaneExhausted`] — after a bounded wait —
     /// once this many stay open.
@@ -194,24 +190,16 @@ pub struct RuntimeConfig {
     pub restart_backoff: Duration,
     /// Seed for the method-mix sampler.
     pub seed: u64,
-    /// Amortization of the [`CcPolicy::DynamicStl`] selector: `Some`
-    /// memoizes STL′ decisions per quantized transaction shape and re-fits
-    /// the model on epoch boundaries (every `epoch_commits` commits or on
-    /// observed drift, fed by the per-shard conflict counters); `None`
-    /// re-evaluates the full dynamic-programming grid on every selection
-    /// (the pre-cache behaviour, kept for overhead comparisons).
-    pub selection_cache: Option<CacheSettings>,
+    /// Amortization of the [`CcPolicy::DynamicStl`] selector: STL′
+    /// decisions are memoized per quantized transaction shape and the
+    /// model is re-fit on epoch boundaries (every `epoch_commits` commits
+    /// or on observed drift, fed by the per-shard conflict counters).
+    pub selection_cache: CacheSettings,
     /// Route invariant-confluent transactions (commutative adds, blind
     /// puts, read-only shapes — see [`selection::classify`]) around the
     /// queue managers through the shard's direct-apply bypass. Off forces
     /// every transaction through full coordination (the `m9` baseline).
     pub confluence_fastpath: bool,
-    /// The at-apply refusal check of the bypass: the queue manager refuses
-    /// a fast-path transaction whenever a touched slot has queued or
-    /// granted coordinated work. **Disabling this admits non-serializable
-    /// histories** — it exists only as the mutation switch proving the
-    /// check is load-bearing (see the runtime's mutation test).
-    pub confluence_check: bool,
     /// Serve read-only-classified transactions (see
     /// [`selection::is_read_only`]) from the per-item version chains at
     /// the global read watermark — the fourth method. No grants, no wait
@@ -219,14 +207,6 @@ pub struct RuntimeConfig {
     /// through whatever coordinated method the selector picks (the `m10`
     /// baseline).
     pub snapshot_reads: bool,
-    /// The watermark check of the snapshot plane: a snapshot read serves
-    /// the newest version stamped at or below the global read watermark.
-    /// **Disabling this serves the raw chain head instead — uncommitted
-    /// prefixes of in-flight multi-item writers become visible and the
-    /// history stops being serializable.** It exists only as the mutation
-    /// switch proving the watermark is load-bearing (see the runtime's
-    /// mutation test).
-    pub snapshot_validation: bool,
     /// Committed versions retained per item **above** what the global
     /// read watermark needs: each item keeps every version a watermark
     /// read could serve plus at most this many newer ones, with a hard
@@ -239,20 +219,16 @@ pub struct RuntimeConfig {
     /// scheduled shard crashes). The schedule must cover exactly
     /// `num_shards` links. `None` (default) is the reliable plane.
     pub faults: Option<faultsim::FaultSchedule>,
-    /// Suppress re-delivered duplicate `Access` messages at the queue
-    /// manager (keyed by the queued incarnation — TxnIds are never
-    /// reused, so a second `Access` from the same incarnation at an item
-    /// it already queued at is always a transport-level duplicate).
-    /// **Disabling this admits double-queued entries** — it exists only
-    /// as the mutation switch proving the guard is load-bearing under
-    /// the duplicate-injection schedule.
-    pub dedup_access: bool,
     /// The flight-recorder tracing plane: [`trace::TraceLevel::Off`]
     /// records nothing (and allocates nothing), `Counters` keeps phase
     /// counters and the Section-5 span accumulators, `Full` (default)
     /// adds the per-lane event rings, transport dwell stamps and the
     /// anomaly postmortem dumps.
     pub trace: trace::TraceConfig,
+    /// Test-only mutation switches (see [`TestHooks`]); leave at the
+    /// default.
+    #[doc(hidden)]
+    pub test_hooks: TestHooks,
 }
 
 impl Default for RuntimeConfig {
@@ -266,8 +242,6 @@ impl Default for RuntimeConfig {
             policy: CcPolicy::Static(CcMethod::TwoPhaseLocking),
             pa_backoff_interval: 1_000,
             shard_inbox_capacity: 256,
-            transport: TransportKind::BatchedRing,
-            reply_plane: ReplyPlaneKind::Mailbox,
             reply_mailbox_capacity: 256,
             reply_max_clients: 65536,
             reply_index_capacity: 1024,
@@ -280,15 +254,13 @@ impl Default for RuntimeConfig {
             diagnostic_timeout: Duration::from_secs(1),
             restart_backoff: Duration::from_micros(200),
             seed: 0,
-            selection_cache: Some(CacheSettings::default()),
+            selection_cache: CacheSettings::default(),
             confluence_fastpath: true,
-            confluence_check: true,
             snapshot_reads: true,
-            snapshot_validation: true,
             version_retain: unified_cc::DEFAULT_VERSION_RETAIN,
             faults: None,
-            dedup_access: true,
             trace: trace::TraceConfig::default(),
+            test_hooks: TestHooks::default(),
         }
     }
 }
@@ -310,11 +282,9 @@ impl RuntimeConfig {
                 return Err(ConfigError::BadMix);
             }
         }
-        if let Some(settings) = &self.selection_cache {
-            settings
-                .validate()
-                .map_err(ConfigError::BadSelectionCache)?;
-        }
+        self.selection_cache
+            .validate()
+            .map_err(ConfigError::BadSelectionCache)?;
         self.trace.validate().map_err(ConfigError::BadTrace)?;
         if self.reply_max_clients == 0 {
             return Err(ConfigError::BadReplyPlane(
@@ -402,21 +372,16 @@ mod tests {
     #[test]
     fn bad_selection_cache_is_rejected() {
         let c = RuntimeConfig {
-            selection_cache: Some(CacheSettings {
+            selection_cache: CacheSettings {
                 quant_rel: -1.0,
                 ..CacheSettings::default()
-            }),
+            },
             ..RuntimeConfig::default()
         };
         assert!(matches!(
             c.validate(),
             Err(ConfigError::BadSelectionCache(_))
         ));
-        let c = RuntimeConfig {
-            selection_cache: None,
-            ..RuntimeConfig::default()
-        };
-        assert_eq!(c.validate(), Ok(()), "uncached selection is valid");
     }
 
     #[test]

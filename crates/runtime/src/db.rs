@@ -9,6 +9,7 @@
 //! deadlock victims) are retried transparently under a fresh transaction id
 //! and a larger timestamp, up to [`RuntimeConfig::max_restarts`] attempts.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -20,21 +21,19 @@ use dbmodel::{
     AccessMode, Catalog, CatalogError, CcMethod, LogSet, LogicalItemId, SiteId, Timestamp,
     Transaction, TsTuple, TxnId, Value,
 };
-use metrics::{SimMetrics, TxnOutcome};
+use metrics::TxnOutcome;
 use pam::{ReplyMsg, RequestMsg};
-use selection::{
-    classify, is_read_only, CachedStlSelector, Confluence, OpProfile, SelectionDecision,
-    StlSelector, WorkloadSignal,
-};
+use selection::{classify, is_read_only, CachedStlSelector, Confluence, OpProfile, WorkloadSignal};
 use simkit::rng::SimRng;
 use simkit::time::SimTime;
 use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
+use transport::batch::SmallBatch;
 use transport::mailbox::MailboxOptions;
 use unified_cc::{ConfluentOp, QueueManager, RequestIssuer, RiAction, RiOutput};
 
-use crate::config::{CcPolicy, ConfigError, RuntimeConfig, TransportKind};
+use crate::config::{CcPolicy, ConfigError, RuntimeConfig};
 use crate::detector;
-use crate::registry::{ClientEvent, ClientMailbox, ClientRecvError, Registry};
+use crate::registry::{ClientEvent, ClientMailbox, Registry};
 use crate::report::RuntimeReport;
 use crate::shard::{self, ShardCmd, ShardHandle, ShardSender};
 use crate::stats::{MetricsShards, RuntimeStats, StatsSnapshot};
@@ -42,6 +41,14 @@ use crate::stats::{MetricsShards, RuntimeStats, StatsSnapshot};
 /// How often a blocked client re-checks whether the database is shutting
 /// down underneath it.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+
+thread_local! {
+    /// The send batcher's per-shard scratch (see `Database::route_all`),
+    /// indexed by shard and left empty between calls. Kept per client
+    /// thread so routing allocates nothing beyond what spilled batches
+    /// carry to the shard.
+    static SEND_BATCHES: RefCell<Vec<SmallBatch<RequestMsg>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The predeclared shape of one transaction: its read and write sets, and
 /// optionally a pinned origin site and concurrency-control method.
@@ -222,34 +229,6 @@ pub struct TxnReceipt {
     pub snapshot: bool,
 }
 
-/// The dynamic-policy selector engine: the amortized cached variant (the
-/// default) or the per-transaction fresh evaluation kept for overhead
-/// comparisons. Both produce identical decisions within an epoch.
-enum SelectorEngine {
-    Cached(Box<CachedStlSelector>),
-    Fresh(StlSelector),
-}
-
-impl SelectorEngine {
-    /// Decide a method. The cached engine reads the (striped) metrics
-    /// lazily — only on warm-up, drift probes and epoch re-fits; the
-    /// fresh engine merges them on every call, which is exactly the
-    /// pre-cache overhead the `dyn-fresh` benchmark rows measure.
-    fn select<F: FnOnce() -> SimMetrics>(
-        &mut self,
-        txn: &Transaction,
-        catalog: &Catalog,
-        signal: WorkloadSignal,
-        commits: u64,
-        merge: F,
-    ) -> SelectionDecision {
-        match self {
-            SelectorEngine::Cached(c) => c.select_sharded(txn, catalog, signal, commits, merge),
-            SelectorEngine::Fresh(s) => s.select(txn, catalog, &merge()),
-        }
-    }
-}
-
 struct Inner {
     config: RuntimeConfig,
     catalog: Catalog,
@@ -261,7 +240,7 @@ struct Inner {
     /// stripe; stripes are merged only at epoch-refit boundaries and at
     /// shutdown. There is no global metrics mutex.
     metrics: MetricsShards,
-    selector: Mutex<SelectorEngine>,
+    selector: Mutex<CachedStlSelector>,
     mix_rng: Mutex<SimRng>,
     /// Per-method selection tally, indexed by [`method_code`] — a fixed
     /// atomic array, the last lock the stats read path used to take.
@@ -313,17 +292,14 @@ impl Database {
         catalog: Catalog,
     ) -> Result<Database, ConfigError> {
         config.validate()?;
-        let registry = Arc::new(Registry::with_options(
-            config.reply_plane,
-            MailboxOptions {
-                index_capacity: config.reply_index_capacity,
-                index_max_capacity: config.reply_index_max_capacity,
-                mailbox_capacity: config.reply_mailbox_capacity,
-                max_clients: config.reply_max_clients,
-                deliver_timeout: config.reply_deliver_timeout,
-                ..MailboxOptions::default()
-            },
-        ));
+        let registry = Arc::new(Registry::with_options(MailboxOptions {
+            index_capacity: config.reply_index_capacity,
+            index_max_capacity: config.reply_index_max_capacity,
+            mailbox_capacity: config.reply_mailbox_capacity,
+            max_clients: config.reply_max_clients,
+            deliver_timeout: config.reply_deliver_timeout,
+            ..MailboxOptions::default()
+        }));
         let stats = Arc::new(RuntimeStats::with_shards(catalog.sites().len()));
         let stopped = Arc::new(AtomicBool::new(false));
         let plane = Arc::new(TracePlane::new(&config.trace, catalog.sites().len()));
@@ -339,17 +315,16 @@ impl Database {
                 config.initial_value,
                 config.enforcement,
             );
-            qm.set_dedup_access(config.dedup_access);
             qm.set_version_retain(config.version_retain);
-            qm.set_snapshot_validation(config.snapshot_validation);
-            let (tx, rx) = shard::inbox_pair(config.transport, config.shard_inbox_capacity);
+            qm.set_dedup_access(config.test_hooks.dedup_access);
+            qm.set_snapshot_validation(config.test_hooks.snapshot_validation);
+            qm.set_confluence_check(config.test_hooks.confluence_check);
+            let (tx, rx) = shard::inbox_pair(config.shard_inbox_capacity);
             if plane.level() == TraceLevel::Full {
-                // Queue-dwell stamping on the batched ring: each slot
-                // carries its enqueue time, the consumer accumulates the
-                // dwell — the `qu/blk` segment's transport-side witness.
-                if let shard::ShardSender::Ring(ring) = &tx {
-                    ring.set_stamping(true);
-                }
+                // Queue-dwell stamping on the ring: each slot carries its
+                // enqueue time, the consumer accumulates the dwell — the
+                // `qu/blk` segment's transport-side witness.
+                tx.set_stamping(true);
             }
             let handle = shard::spawn(
                 qm,
@@ -392,12 +367,7 @@ impl Database {
                 None
             };
 
-        let selector = match config.selection_cache {
-            Some(settings) => {
-                SelectorEngine::Cached(Box::new(CachedStlSelector::with_settings(settings)))
-            }
-            None => SelectorEngine::Fresh(StlSelector::new()),
-        };
+        let selector = CachedStlSelector::with_settings(config.selection_cache);
         let faults = config
             .faults
             .clone()
@@ -457,9 +427,8 @@ impl Database {
     /// The Section-5-style phase breakdown accumulated by the tracing
     /// plane so far: per-method segment histograms whose means telescope
     /// exactly to the measured end-to-end latency, global phase-event
-    /// counters, and (on the batched-ring transport at
-    /// [`TraceLevel::Full`]) the per-shard inbox dwell meters. Empty at
-    /// [`TraceLevel::Off`].
+    /// counters, and (at [`TraceLevel::Full`]) the per-shard inbox dwell
+    /// meters. Empty at [`TraceLevel::Off`].
     pub fn trace_report(&self) -> trace::TraceReport {
         let mut report = self.inner.trace.report();
         report.transport_dwell = self
@@ -467,16 +436,13 @@ impl Database {
             .shard_txs
             .iter()
             .enumerate()
-            .filter_map(|(shard, tx)| match tx {
-                shard::ShardSender::Ring(ring) => {
-                    let (messages, nanos) = ring.queue_dwell();
-                    (messages > 0).then(|| trace::LaneDwell {
-                        shard,
-                        messages,
-                        mean_dwell_us: nanos as f64 / messages as f64 / 1_000.0,
-                    })
-                }
-                shard::ShardSender::Mpsc(_) => None,
+            .filter_map(|(shard, tx)| {
+                let (messages, nanos) = tx.queue_dwell();
+                (messages > 0).then(|| trace::LaneDwell {
+                    shard,
+                    messages,
+                    mean_dwell_us: nanos as f64 / messages as f64 / 1_000.0,
+                })
             })
             .collect();
         report
@@ -545,7 +511,10 @@ impl Database {
                 // precedence tie-breaking by origin only needs *a* site,
                 // and the destination's own id is deterministic.
                 let origin = self.inner.catalog.sites()[link];
-                let _ = self.inner.shard_txs[link].send(ShardCmd::Handle { origin, msg });
+                let _ = self.inner.shard_txs[link].send(ShardCmd::HandleBatch {
+                    origin,
+                    msgs: [msg].into_iter().collect(),
+                });
             });
         }
     }
@@ -557,10 +526,9 @@ impl Database {
     }
 
     /// Force an epoch re-fit of the cached dynamic selector right now,
-    /// merging the metric stripes outside any commit-path lock. Returns
-    /// `false` when the policy does not run a cached selector. Useful for
-    /// diagnostics and for tests that pin epoch boundaries.
-    pub fn force_refit(&self) -> bool {
+    /// merging the metric stripes outside any commit-path lock. Useful
+    /// for diagnostics and for tests that pin epoch boundaries.
+    pub fn force_refit(&self) {
         let now = self.now();
         let signal = WorkloadSignal {
             grants: self.inner.stats.grants.load(Ordering::Relaxed),
@@ -570,16 +538,10 @@ impl Database {
         // to run while the stripes are folded.
         let merged = self.inner.metrics.merged(now);
         let mut selector = self.inner.selector.lock().expect("selector poisoned");
-        match &mut *selector {
-            SelectorEngine::Cached(c) => {
-                c.refit_now(&merged, signal);
-                let cs = c.cache_stats();
-                drop(selector);
-                self.inner.stats.publish_cache_stats(cs);
-                true
-            }
-            SelectorEngine::Fresh(_) => false,
-        }
+        selector.refit_now(&merged, signal);
+        let cs = selector.cache_stats();
+        drop(selector);
+        self.inner.stats.publish_cache_stats(cs);
     }
 
     /// Open a transaction and drive it to its execution phase: all requests
@@ -596,9 +558,9 @@ impl Database {
     /// coordinated path.
     ///
     /// The reply endpoint is acquired **once** here and reused across
-    /// every restart incarnation — on the mailbox plane that is the
-    /// whole point of the slab: registration re-arms the same mailbox
-    /// under the new transaction id instead of allocating a channel.
+    /// every restart incarnation — the whole point of the mailbox slab:
+    /// registration re-arms the same mailbox under the new transaction id
+    /// instead of allocating a channel.
     pub fn begin(&self, spec: &TxnSpec) -> Result<ActiveTxn, TxnError> {
         let inner = &self.inner;
         if inner.config.snapshot_reads {
@@ -958,8 +920,7 @@ impl Database {
                 .or_default()
                 .push(ConfluentOp::Put(copies[0], value));
         }
-        let check = inner.config.confluence_check;
-        if check && per_site.len() != 1 {
+        if inner.config.test_hooks.confluence_check && per_site.len() != 1 {
             return Ok(None);
         }
         let mut n_ops = 0u32;
@@ -976,7 +937,6 @@ impl Database {
                     origin,
                     txn: txn_id,
                     ops,
-                    check,
                     reply: tx,
                 })
                 .is_err()
@@ -1248,19 +1208,14 @@ impl Database {
                 // merge at a refit boundary), not lock queueing.
                 let begun = Instant::now();
                 let method = selector
-                    .select(&probe, &inner.catalog, signal, commits, || {
+                    .select_sharded(&probe, &inner.catalog, signal, commits, || {
                         inner.metrics.merged(now)
                     })
                     .method;
                 let spent = begun.elapsed();
-                let cache_stats = match &*selector {
-                    SelectorEngine::Cached(c) => Some(c.cache_stats()),
-                    SelectorEngine::Fresh(_) => None,
-                };
+                let cache_stats = selector.cache_stats();
                 drop(selector);
-                if let Some(cs) = cache_stats {
-                    inner.stats.publish_cache_stats(cs);
-                }
+                inner.stats.publish_cache_stats(cache_stats);
                 inner.stats.selections.fetch_add(1, Ordering::Relaxed);
                 inner
                     .stats
@@ -1301,19 +1256,12 @@ impl Database {
             if Instant::now() >= deadline {
                 return Ok(WaitOutcome::TimedOut);
             }
-            let event = match events.recv_timeout(ri.txn_id(), poll) {
-                Ok(ev) => ev,
-                Err(ClientRecvError::Timeout) => {
-                    if self.inner.stopped.load(Ordering::Relaxed) {
-                        self.inner.registry.deregister(ri.txn_id());
-                        return Err(TxnError::ShuttingDown);
-                    }
-                    continue;
-                }
-                Err(ClientRecvError::Disconnected) => {
+            let Some(event) = events.recv_timeout(txn, poll) else {
+                if self.inner.stopped.load(Ordering::Relaxed) {
                     self.inner.registry.deregister(ri.txn_id());
                     return Err(TxnError::ShuttingDown);
                 }
+                continue;
             };
             // One event may carry several replies (a shard's batched
             // grants); their follow-up sends are routed in one batched
@@ -1405,14 +1353,13 @@ impl Database {
 
     /// Send every message to the shard owning its item.
     ///
-    /// On the batched plane this is the client-side **send batcher**: the
-    /// transaction's messages are grouped per destination shard (stable —
-    /// relative order per shard is preserved, which is all the protocol
-    /// requires) and each group is enqueued as one
-    /// [`ShardCmd::HandleBatch`], so a transaction costs each shard one
-    /// enqueue and at most one wakeup per phase instead of one per
-    /// message. The mpsc plane sends one [`ShardCmd::Handle`] per message,
-    /// faithful to the pre-batching baseline.
+    /// This is the client-side **send batcher**: one pass appends each
+    /// message to its destination shard's batch (relative order per shard
+    /// is preserved, which is all the protocol requires), then each
+    /// non-empty batch is enqueued as one [`ShardCmd::HandleBatch`]. A
+    /// transaction therefore costs each shard one enqueue and at most one
+    /// wakeup per phase, however many messages it sends and however they
+    /// interleave across shards.
     fn route_all(&self, origin: SiteId, sends: Vec<RequestMsg>) -> Result<(), TxnError> {
         if sends.is_empty() {
             return Ok(());
@@ -1421,95 +1368,41 @@ impl Database {
             Some(plane) if plane.is_active() => self.fault_filter(plane, sends)?,
             _ => sends,
         };
-        if sends.is_empty() {
-            return Ok(());
-        }
-        let shard_of = |msg: &RequestMsg| -> usize {
-            *self
-                .inner
-                .site_index
-                .get(&msg.item().site)
-                .expect("catalog routed a message to an unknown site")
-        };
-        match self.inner.config.transport {
-            TransportKind::Mpsc => {
-                for msg in sends {
-                    let idx = shard_of(&msg);
-                    if self.inner.shard_txs[idx]
-                        .send(ShardCmd::Handle { origin, msg })
-                        .is_err()
-                    {
-                        return Err(TxnError::ShuttingDown);
-                    }
+        SEND_BATCHES.with(|batches| {
+            let mut batches = batches.borrow_mut();
+            batches.resize_with(self.inner.shard_txs.len(), SmallBatch::new);
+            for msg in sends {
+                let idx = *self
+                    .inner
+                    .site_index
+                    .get(&msg.item().site)
+                    .expect("catalog routed a message to an unknown site");
+                batches[idx].push(msg);
+            }
+            // Every batch is taken, even after a failed send, so the
+            // scratch is left empty for the next call.
+            let mut routed = Ok(());
+            for (tx, batch) in self.inner.shard_txs.iter().zip(batches.iter_mut()) {
+                if batch.is_empty() {
+                    continue;
+                }
+                let msgs = std::mem::take(batch);
+                if routed.is_ok() && tx.send(ShardCmd::HandleBatch { origin, msgs }).is_err() {
+                    routed = Err(TxnError::ShuttingDown);
                 }
             }
-            TransportKind::BatchedRing => {
-                // Group by destination without allocating: messages are
-                // `Copy` plain data and transactions send at most a
-                // handful, so a taken-bitmap scan collects each shard's
-                // batch in order. (Transactions beyond 64 messages fall
-                // back to consecutive-run grouping — still correct, just
-                // potentially more batches.)
-                let n = sends.len();
-                if n <= 64 {
-                    // Resolve each destination once up front; the
-                    // grouping scans below then compare plain indices.
-                    let mut dest = [0usize; 64];
-                    for (d, msg) in dest.iter_mut().zip(&sends) {
-                        *d = shard_of(msg);
-                    }
-                    let mut taken: u64 = 0;
-                    for i in 0..n {
-                        if taken & (1 << i) != 0 {
-                            continue;
-                        }
-                        let idx = dest[i];
-                        let mut msgs = transport::batch::SmallBatch::new();
-                        for (j, msg) in sends.iter().enumerate().skip(i) {
-                            if taken & (1 << j) == 0 && dest[j] == idx {
-                                msgs.push(*msg);
-                                taken |= 1 << j;
-                            }
-                        }
-                        if self.inner.shard_txs[idx]
-                            .send(ShardCmd::HandleBatch { origin, msgs })
-                            .is_err()
-                        {
-                            return Err(TxnError::ShuttingDown);
-                        }
-                    }
-                } else {
-                    let mut run_start = 0;
-                    while run_start < n {
-                        let idx = shard_of(&sends[run_start]);
-                        let mut run_end = run_start + 1;
-                        while run_end < n && shard_of(&sends[run_end]) == idx {
-                            run_end += 1;
-                        }
-                        let msgs = sends[run_start..run_end].iter().copied().collect();
-                        if self.inner.shard_txs[idx]
-                            .send(ShardCmd::HandleBatch { origin, msgs })
-                            .is_err()
-                        {
-                            return Err(TxnError::ShuttingDown);
-                        }
-                        run_start = run_end;
-                    }
-                }
-            }
-        }
-        Ok(())
+            routed
+        })
     }
 
     /// Pass an outbound message list through the armed fault plane. Each
     /// message crosses the plane on the link of its destination shard;
     /// what comes back (possibly nothing — a drop or a hold — possibly
     /// more — duplicates, released delays, healed partitions) replaces it
-    /// in the send list, still addressed to the same shard, so the
-    /// plane-specific packing below works unchanged. A crossed crash
-    /// point enqueues the crash command at the destination *before* the
-    /// messages of this call, mirroring a node that goes down as traffic
-    /// arrives.
+    /// in the send list, still addressed to the same shard, so the send
+    /// batcher packs it unchanged. A crossed crash point enqueues the
+    /// crash command at the destination *before* the messages of this
+    /// call, mirroring a node that goes down as traffic arrives.
     fn fault_filter(
         &self,
         plane: &faultsim::FaultPlane,
@@ -1788,15 +1681,11 @@ impl ActiveTxn {
                 .events
                 .as_mut()
                 .expect("coordinated transaction has a reply mailbox");
-            let event = match events.recv_timeout(self.ri.txn_id(), poll) {
-                Ok(ev) => ev,
-                Err(ClientRecvError::Timeout) => {
-                    if self.db.inner.stopped.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    continue;
+            let Some(event) = events.recv_timeout(self.ri.txn_id().0, poll) else {
+                if self.db.inner.stopped.load(Ordering::Relaxed) {
+                    break;
                 }
-                Err(ClientRecvError::Disconnected) => break,
+                continue;
             };
             let replies = match event {
                 ClientEvent::Replies(replies) => replies,
@@ -2062,39 +1951,7 @@ mod tests {
         assert!(report.serializable().is_ok());
     }
 
-    /// The baseline reply plane (per-incarnation mpsc channels behind the
-    /// global map) still serves concurrent traffic — it is the A/B
-    /// comparison the exp9 `reply=mpsc` rows measure.
-    #[test]
-    fn mpsc_reply_plane_still_serves_concurrent_traffic() {
-        let db = Database::open(RuntimeConfig {
-            reply_plane: crate::config::ReplyPlaneKind::Mpsc,
-            ..config(2, 8)
-        })
-        .unwrap();
-        let threads: Vec<_> = (0..4)
-            .map(|k| {
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    for i in 0..20 {
-                        let spec = TxnSpec::new()
-                            .write(li((k + i) % 8))
-                            .read(li((k + i + 1) % 8));
-                        db.run_transaction(&spec, |_| vec![(li((k + i) % 8), i as Value)])
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = db.shutdown().unwrap();
-        assert_eq!(report.stats.committed, 80);
-        assert!(report.serializable().is_ok());
-    }
-
-    /// Restart churn on the mailbox plane: the same reusable mailbox
+    /// Restart churn: the same reusable mailbox
     /// serves every incarnation, and the replies still in flight when an
     /// incarnation aborts surface as counted stale events, never as
     /// grants to the wrong incarnation (the run stays serializable).
@@ -2128,35 +1985,6 @@ mod tests {
         assert!(report.serializable().is_ok());
     }
 
-    #[test]
-    fn mpsc_plane_still_serves_concurrent_traffic() {
-        let db = Database::open(RuntimeConfig {
-            transport: crate::config::TransportKind::Mpsc,
-            ..config(2, 8)
-        })
-        .unwrap();
-        let threads: Vec<_> = (0..4)
-            .map(|k| {
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    for i in 0..20 {
-                        let spec = TxnSpec::new()
-                            .write(li((k + i) % 8))
-                            .read(li((k + i + 1) % 8));
-                        db.run_transaction(&spec, |_| vec![(li((k + i) % 8), i as Value)])
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = db.shutdown().unwrap();
-        assert_eq!(report.stats.committed, 80);
-        assert!(report.serializable().is_ok());
-    }
-
     /// Acceptance check: the epoch re-fit holds no lock the commit path
     /// needs. Client threads commit continuously while the main thread
     /// hammers forced re-fits (each of which merges every metric stripe);
@@ -2186,7 +2014,7 @@ mod tests {
             .collect();
         let mut forced = 0u64;
         while !workers.iter().all(|w| w.is_finished()) {
-            assert!(db.force_refit(), "dynamic cached policy must refit");
+            db.force_refit();
             forced += 1;
             // Poll stats mid-refit-storm: reads only atomics, so it can
             // never block on (or be blocked by) admission.
@@ -2212,11 +2040,11 @@ mod tests {
     fn stats_reports_cache_counters_without_selector_lock() {
         let db = Database::open(RuntimeConfig {
             policy: CcPolicy::DynamicStl,
-            selection_cache: Some(selection::CacheSettings {
+            selection_cache: selection::CacheSettings {
                 warmup_commits: 3,
                 explore_every: 0,
                 ..selection::CacheSettings::default()
-            }),
+            },
             ..config(1, 8)
         })
         .unwrap();
@@ -2671,7 +2499,7 @@ mod tests {
         assert!(report.serializable().is_ok());
     }
 
-    /// The mutation gate: with `confluence_check = false` the bypass
+    /// The mutation gate: with the `confluence_check` hook off the bypass
     /// ignores in-flight coordinated work, and a deliberately interleaved
     /// fast transaction closes a precedence cycle the oracle must reject.
     /// (This is the proof that the at-apply refusal check is what keeps
@@ -2679,7 +2507,10 @@ mod tests {
     #[test]
     fn disabling_the_confluence_check_admits_a_non_serializable_history() {
         let db = Database::open(RuntimeConfig {
-            confluence_check: false,
+            test_hooks: crate::config::TestHooks {
+                confluence_check: false,
+                ..Default::default()
+            },
             ..config(2, 2)
         })
         .unwrap();
@@ -2699,7 +2530,6 @@ mod tests {
                     origin: SiteId(0),
                     txn: f,
                     ops,
-                    check: false,
                     reply: tx,
                 })
                 .map_err(|_| ())
@@ -2898,7 +2728,7 @@ mod tests {
         assert!(report.serializable().is_ok());
     }
 
-    /// The mutation gate (PR 10): with `snapshot_validation = false` the
+    /// The mutation gate: with the `snapshot_validation` hook off the
     /// plane serves raw heads, and a snapshot transaction whose two reads
     /// straddle a writer's commit observes a torn state — the oracle must
     /// reject the cycle. (This is the proof that the watermark visibility
@@ -2906,7 +2736,10 @@ mod tests {
     #[test]
     fn disabling_snapshot_validation_admits_a_non_serializable_history() {
         let db = Database::open(RuntimeConfig {
-            snapshot_validation: false,
+            test_hooks: crate::config::TestHooks {
+                snapshot_validation: false,
+                ..Default::default()
+            },
             ..config(1, 2)
         })
         .unwrap();
@@ -2940,5 +2773,33 @@ mod tests {
             report.serializable().is_err(),
             "the unvalidated snapshot plane must admit a torn read"
         );
+    }
+
+    /// A wide transaction whose sorted access list alternates shards
+    /// (round-robin placement) must cost each shard one `HandleBatch`
+    /// per phase. One batch per message would make every drained batch
+    /// flush its own reply event, overflow the small reply mailbox while
+    /// the client is still sending, and stall the read on the dropped
+    /// grants until `request_timeout` restarts it.
+    #[test]
+    fn wide_read_across_alternating_shards_is_one_batch_per_shard() {
+        const ITEMS: u64 = 2000;
+        let db = Database::open(RuntimeConfig {
+            reply_mailbox_capacity: 16,
+            reply_deliver_timeout: Duration::from_millis(10),
+            request_timeout: Duration::from_secs(2),
+            max_restarts: 1,
+            ..config(2, ITEMS)
+        })
+        .unwrap();
+        let spec = TxnSpec::new()
+            .reads((0..ITEMS).map(li))
+            .method(CcMethod::TwoPhaseLocking);
+        let receipt = db.run_transaction(&spec, |_| vec![]);
+        let stats = db.stats();
+        assert!(receipt.is_ok(), "the wide read failed: {receipt:?}");
+        assert_eq!(stats.mailbox_full_drops, 0, "no reply may be dropped");
+        assert_eq!(stats.timeout_restarts, 0, "no incarnation may stall");
+        db.shutdown();
     }
 }

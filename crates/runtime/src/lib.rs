@@ -59,7 +59,9 @@ mod registry;
 mod shard;
 mod stats;
 
-pub use config::{CcPolicy, ConfigError, ReplyPlaneKind, RuntimeConfig, TransportKind};
+#[doc(hidden)]
+pub use config::TestHooks;
+pub use config::{CcPolicy, ConfigError, RuntimeConfig};
 pub use db::{ActiveTxn, Database, TxnError, TxnReceipt, TxnSpec};
 // The fault-plane vocabulary callers need to arm [`RuntimeConfig::faults`]
 // and consume [`Database::fault_counters`].

@@ -343,7 +343,7 @@ fn duplicate_storm_is_absorbed_when_suppression_is_on() {
 }
 
 /// Mutation arm: the same storm with the suppression guard disabled
-/// (`dedup_access: false`) demonstrably fails — the first re-delivered
+/// (the `dedup_access` test hook off) demonstrably fails — the first re-delivered
 /// `Access` double-queues its transaction, the queue invariant trips
 /// (debug assertion in `pam::DataQueue::insert`), the shard dies and
 /// clients surface bounded errors instead of committing. This is the
@@ -358,7 +358,7 @@ fn duplicate_storm_is_absorbed_when_suppression_is_on() {
 #[test]
 fn duplicate_storm_without_suppression_demonstrably_fails() {
     let mut config = chaos_config(duplicate_storm_schedule(7));
-    config.dedup_access = false; // the mutation under test
+    config.test_hooks.dedup_access = false; // the mutation under test
     config.max_restarts = 2;
     // The panicking shard stops draining its inbox; keep the detector
     // from flooding it while the clients fail over.

@@ -1,4 +1,4 @@
-//! Stress and equivalence coverage for the batched message plane.
+//! Stress and correctness coverage for the batched message plane.
 //!
 //! Three layers, matching the guarantees the runtime leans on:
 //!
@@ -6,19 +6,19 @@
 //!    stress against a deliberately tiny ring, exercising full-ring
 //!    backpressure (producer park/unpark), empty-ring consumer parking,
 //!    and FIFO-per-producer ordering.
-//! 2. **Plane equivalence, deterministic** — the same single-client
-//!    workload produces identical reads, commits and final state on the
-//!    batched ring and on the mpsc baseline.
-//! 3. **Plane equivalence, concurrent** — a mixed-method multi-threaded
-//!    workload on each plane is certified by the `sercheck`
-//!    serializability oracle.
+//! 2. **Sequential model, deterministic** — a single-client workload
+//!    produces exactly the reads, final state and commit count of an
+//!    in-test sequential model that applies the same transfers in order.
+//! 3. **Concurrent mixed load** — a mixed-method multi-threaded workload
+//!    is certified by the `sercheck` serializability oracle, with the
+//!    balance invariant checked on top.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dbmodel::{CcMethod, LogicalItemId, Value};
-use runtime::{CcPolicy, Database, RuntimeConfig, TransportKind, TxnSpec};
+use runtime::{CcPolicy, Database, RuntimeConfig, TxnSpec};
 use simkit::rng::SimRng;
 use transport::ring;
 
@@ -125,24 +125,28 @@ fn ring_consumer_parks_and_wakes_on_trickle() {
     assert_eq!(got, (0..50).collect::<Vec<_>>());
 }
 
-fn plane_config(transport: TransportKind, shards: u32, items: u64) -> RuntimeConfig {
+const INITIAL: Value = 100;
+
+fn plane_config(shards: u32, items: u64) -> RuntimeConfig {
     RuntimeConfig {
         num_shards: shards,
         num_items: items,
-        initial_value: 100,
-        transport,
+        initial_value: INITIAL,
         deadlock_scan_interval: Duration::from_millis(2),
         ..RuntimeConfig::default()
     }
 }
 
-/// Drive one deterministic single-client workload and capture everything
-/// observable: per-transaction read values and the final state of every
-/// item.
-fn deterministic_run(transport: TransportKind) -> (Vec<Vec<Value>>, Vec<Value>, u64) {
+/// The deterministic single-client workload against a sequential model:
+/// a `Vec<Value>` that applies the same transfers in order. Every
+/// transaction must read exactly what the model holds before it, and
+/// the final state and the commit count must match the model's.
+#[test]
+fn deterministic_run_matches_a_sequential_model() {
     const ITEMS: u64 = 12;
-    let db = Database::open(plane_config(transport, 3, ITEMS)).unwrap();
-    let mut observed = Vec::new();
+    let db = Database::open(plane_config(3, ITEMS)).unwrap();
+    let mut model = vec![INITIAL; ITEMS as usize];
+    let mut transfers = 0u64;
     for i in 0..80u64 {
         let a = li(i % ITEMS);
         let b = li((i * 5 + 1) % ITEMS);
@@ -154,7 +158,15 @@ fn deterministic_run(transport: TransportKind) -> (Vec<Vec<Value>>, Vec<Value>, 
         let receipt = db
             .run_transaction(&spec, |reads| vec![(a, reads[&a] - 1), (b, reads[&b] + 1)])
             .unwrap();
-        observed.push(receipt.reads.values().copied().collect::<Vec<_>>());
+        let (ai, bi) = (a.0 as usize, b.0 as usize);
+        assert_eq!(
+            (receipt.reads[&a], receipt.reads[&b]),
+            (model[ai], model[bi]),
+            "transfer {i} ({method:?}) read diverged from the model"
+        );
+        model[ai] -= 1;
+        model[bi] += 1;
+        transfers += 1;
     }
     let finals: Vec<Value> = (0..ITEMS)
         .map(|i| {
@@ -163,77 +175,65 @@ fn deterministic_run(transport: TransportKind) -> (Vec<Vec<Value>>, Vec<Value>, 
                 .reads[&li(i)]
         })
         .collect();
+    assert_eq!(finals, model, "final state diverged from the model");
+    let report = db.shutdown().unwrap();
+    assert!(report.serializable().is_ok(), "run must be serializable");
+    assert_eq!(
+        report.stats.committed,
+        transfers + ITEMS,
+        "every transfer and every final read commits exactly once"
+    );
+}
+
+/// Concurrent mixed-method traffic, certified by the sercheck oracle,
+/// with the balance invariant checked on top.
+#[test]
+fn both_planes_serializable_under_concurrent_mixed_load() {
+    const ITEMS: u64 = 24;
+    const CLIENTS: u64 = 6;
+    const PER_CLIENT: u64 = 40;
+    let db = Database::open(RuntimeConfig {
+        policy: CcPolicy::Mix {
+            p_2pl: 0.34,
+            p_to: 0.33,
+        },
+        ..plane_config(3, ITEMS)
+    })
+    .unwrap();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                for k in 0..PER_CLIENT {
+                    let i = c * 131 + k * 17;
+                    let from = li(i % ITEMS);
+                    let to = li((i * 3 + 1) % ITEMS);
+                    if from == to {
+                        continue;
+                    }
+                    let spec = TxnSpec::new().write(from).write(to);
+                    db.run_transaction(&spec, |reads| {
+                        vec![(from, reads[&from] - 1), (to, reads[&to] + 1)]
+                    })
+                    .unwrap();
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let total: Value = (0..ITEMS)
+        .map(|i| {
+            db.run_transaction(&TxnSpec::new().read(li(i)), |_| vec![])
+                .unwrap()
+                .reads[&li(i)]
+        })
+        .sum();
+    assert_eq!(total, INITIAL * ITEMS as Value, "balance leaked");
     let report = db.shutdown().unwrap();
     assert!(
         report.serializable().is_ok(),
-        "{transport:?} run must be serializable"
+        "oracle rejected the execution"
     );
-    (observed, finals, report.stats.committed)
-}
-
-/// Batched-vs-unbatched equivalence (satellite 3): a deterministic
-/// workload is bit-identical across the two planes — batching only groups
-/// messages, it never reorders a transaction's effects.
-#[test]
-fn batched_and_mpsc_planes_are_observationally_equivalent() {
-    let (ring_reads, ring_finals, ring_committed) = deterministic_run(TransportKind::BatchedRing);
-    let (mpsc_reads, mpsc_finals, mpsc_committed) = deterministic_run(TransportKind::Mpsc);
-    assert_eq!(ring_committed, mpsc_committed);
-    assert_eq!(ring_reads, mpsc_reads, "per-transaction reads diverged");
-    assert_eq!(ring_finals, mpsc_finals, "final states diverged");
-}
-
-/// Concurrent mixed-method traffic on both planes, each run certified by
-/// the sercheck oracle, with the balance invariant checked on top.
-#[test]
-fn both_planes_serializable_under_concurrent_mixed_load() {
-    for transport in [TransportKind::BatchedRing, TransportKind::Mpsc] {
-        const ITEMS: u64 = 24;
-        const CLIENTS: u64 = 6;
-        const PER_CLIENT: u64 = 40;
-        let db = Database::open(RuntimeConfig {
-            policy: CcPolicy::Mix {
-                p_2pl: 0.34,
-                p_to: 0.33,
-            },
-            ..plane_config(transport, 3, ITEMS)
-        })
-        .unwrap();
-        let workers: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    for k in 0..PER_CLIENT {
-                        let i = c * 131 + k * 17;
-                        let from = li(i % ITEMS);
-                        let to = li((i * 3 + 1) % ITEMS);
-                        if from == to {
-                            continue;
-                        }
-                        let spec = TxnSpec::new().write(from).write(to);
-                        db.run_transaction(&spec, |reads| {
-                            vec![(from, reads[&from] - 1), (to, reads[&to] + 1)]
-                        })
-                        .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let total: Value = (0..ITEMS)
-            .map(|i| {
-                db.run_transaction(&TxnSpec::new().read(li(i)), |_| vec![])
-                    .unwrap()
-                    .reads[&li(i)]
-            })
-            .sum();
-        assert_eq!(total, 100 * ITEMS as Value, "{transport:?}: balance leaked");
-        let report = db.shutdown().unwrap();
-        assert!(
-            report.serializable().is_ok(),
-            "{transport:?}: oracle rejected the execution"
-        );
-    }
 }
