@@ -1,6 +1,6 @@
 //! E4 — communication cost: messages per committed transaction versus load.
 //!
-//! Paper (Section 1): "[PA] is free from deadlocks and restarts. However,
+//! Paper (Section 1): "\[PA\] is free from deadlocks and restarts. However,
 //! communication cost increases as the system load increases."
 
 use bench::{base_config, run_protocols, table};

@@ -1,7 +1,7 @@
 //! E5 — ablation of the semi-lock protocol.
 //!
 //! Paper (Section 4.2): the naive way to unify enforcement is to "use locking
-//! for all requests", which "sacrific[es] the degree of concurrency for T/O
+//! for all requests", which "sacrific\[es\] the degree of concurrency for T/O
 //! transactions"; semi-locks preserve E2 *without* reducing T/O concurrency.
 //! This experiment runs the same mixed workload under both enforcement modes
 //! and reports the mean system time of the T/O transactions (and of

@@ -2,9 +2,9 @@
 //! physical item stored at that site.
 //!
 //! The queue manager is a pure message processor: it consumes
-//! [`RequestMsg`]s addressed to its items and produces [`ReplyMsg`]s for the
-//! issuing transactions plus [`QmEvent`]s (grants and implemented operations)
-//! that the driver uses to update metrics and the execution logs.
+//! [`RequestMsg`]s addressed to its items and produces [`pam::ReplyMsg`]s for
+//! the issuing transactions plus [`QmEvent`]s (grants and implemented
+//! operations) that the driver uses to update metrics and the execution logs.
 //!
 //! ## The dense item table
 //!
@@ -544,7 +544,6 @@ impl QueueManager {
     /// restart.
     pub fn apply_confluent(
         &mut self,
-        _origin: SiteId,
         txn: TxnId,
         ops: &[ConfluentOp],
         commit_ts: Timestamp,
@@ -760,7 +759,7 @@ mod tests {
         qm.add_item(pi(1, 0), 10, EnforcementMode::SemiLock);
         let mut sink = QmSink::new();
         let ops = [ConfluentOp::Add(pi(1, 0), 5)];
-        qm.apply_confluent(SiteId(0), TxnId(7), &ops, Timestamp(4), &mut sink)
+        qm.apply_confluent(TxnId(7), &ops, Timestamp(4), &mut sink)
             .expect("idle item accepts the bypass");
         assert!(sink.events.iter().any(|e| matches!(
             e,
@@ -1000,7 +999,7 @@ mod tests {
             ConfluentOp::Read(pi(1, 0)),
         ];
         let reads = qm
-            .apply_confluent(SiteId(0), TxnId(7), &ops, Timestamp::ZERO, &mut sink)
+            .apply_confluent(TxnId(7), &ops, Timestamp::ZERO, &mut sink)
             .expect("idle items must accept the bypass");
         assert_eq!(reads, vec![(pi(1, 0), 15)], "read sees the applied add");
         assert_eq!(qm.value_of(pi(1, 0)), Some(15));
@@ -1025,7 +1024,7 @@ mod tests {
         let mut sink = QmSink::new();
         for op in [ConfluentOp::Add(pi(1, 0), 1), ConfluentOp::Put(pi(1, 0), 0)] {
             assert!(
-                qm.apply_confluent(SiteId(0), TxnId(9), &[op], Timestamp::ZERO, &mut sink)
+                qm.apply_confluent(TxnId(9), &[op], Timestamp::ZERO, &mut sink)
                     .is_none(),
                 "{op:?} must refuse on a locked item"
             );
@@ -1047,7 +1046,6 @@ mod tests {
         let mut sink = QmSink::new();
         let reads = qm
             .apply_confluent(
-                SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(1, 0))],
                 Timestamp::ZERO,
@@ -1062,7 +1060,6 @@ mod tests {
         );
         assert!(qm
             .apply_confluent(
-                SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(2, 0))],
                 Timestamp::ZERO,
@@ -1077,7 +1074,6 @@ mod tests {
         );
         assert!(qm
             .apply_confluent(
-                SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(1, 0))],
                 Timestamp::ZERO,
@@ -1100,7 +1096,7 @@ mod tests {
         // be applied.
         let ops = [ConfluentOp::Add(pi(1, 0), 5), ConfluentOp::Add(pi(2, 0), 5)];
         assert!(qm
-            .apply_confluent(SiteId(0), TxnId(9), &ops, Timestamp::ZERO, &mut sink)
+            .apply_confluent(TxnId(9), &ops, Timestamp::ZERO, &mut sink)
             .is_none());
         assert_eq!(qm.value_of(pi(1, 0)), Some(10));
         assert!(sink.events.is_empty());
@@ -1110,7 +1106,7 @@ mod tests {
             ConfluentOp::Add(pi(77, 0), 5),
         ];
         assert!(qm
-            .apply_confluent(SiteId(0), TxnId(9), &ops, Timestamp::ZERO, &mut sink)
+            .apply_confluent(TxnId(9), &ops, Timestamp::ZERO, &mut sink)
             .is_none());
         assert_eq!(qm.value_of(pi(1, 0)), Some(10));
     }
@@ -1130,7 +1126,6 @@ mod tests {
         qm.set_confluence_check(false);
         let reads = qm
             .apply_confluent(
-                SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Add(pi(1, 0), 5)],
                 Timestamp::ZERO,
@@ -1142,7 +1137,6 @@ mod tests {
         // Unknown items still refuse even unchecked.
         assert!(qm
             .apply_confluent(
-                SiteId(0),
                 TxnId(9),
                 &[ConfluentOp::Read(pi(88, 0))],
                 Timestamp::ZERO,

@@ -179,11 +179,10 @@ pub struct RuntimeConfig {
     /// already implemented at demote time, so the outcome is "decided
     /// but unacknowledged", exactly like a timed-out distributed commit.
     pub commit_timeout: Duration,
-    /// Per-shard bound on the diagnostic oneshot conversations
-    /// ([`crate::Database::waiting_transactions`],
-    /// [`crate::Database::log_snapshot`] and the fast-path apply
-    /// round-trip). A shard that stays silent past the deadline is
-    /// skipped (diagnostics) or reported unavailable (fast path).
+    /// Per-shard bound on the oneshot conversations. A shard silent past
+    /// it is skipped by the diagnostics ([`crate::Database::log_snapshot`],
+    /// [`crate::Database::waiting_transactions`]) and fails a snapshot
+    /// read or fast-path apply with [`crate::TxnError::ShardUnavailable`].
     pub diagnostic_timeout: Duration,
     /// Base delay between restart attempts (doubled per attempt up to 128×,
     /// plus a per-transaction jitter to break symmetry).

@@ -3,11 +3,12 @@
 //! A `Database` owns one shard thread per site plus the background deadlock
 //! detector. Any number of client threads may concurrently open
 //! transactions; each client thread *is* the request issuer of its own
-//! transaction — it drives the sans-IO [`RequestIssuer`] state machine,
-//! blocking on an event channel for queue-manager replies, exactly the way
-//! the simulator drives it from the event loop. Restarts (T/O rejections,
-//! deadlock victims) are retried transparently under a fresh transaction id
-//! and a larger timestamp, up to [`RuntimeConfig::max_restarts`] attempts.
+//! transaction — it drives the sans-IO [`unified_cc::RequestIssuer`] state
+//! machine, blocking on an event channel for queue-manager replies, exactly
+//! the way the simulator drives it from the event loop. Restarts (T/O
+//! rejections, deadlock victims) are retried transparently under a fresh
+//! transaction id and a larger timestamp, up to
+//! [`RuntimeConfig::max_restarts`] attempts (see the pipeline, `path.rs`).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -15,32 +16,26 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use dbmodel::{
-    AccessMode, Catalog, CatalogError, CcMethod, LogSet, LogicalItemId, SiteId, Timestamp,
-    Transaction, TsTuple, TxnId, Value,
-};
-use metrics::TxnOutcome;
-use pam::{ReplyMsg, RequestMsg};
-use selection::{classify, is_read_only, CachedStlSelector, Confluence, OpProfile, WorkloadSignal};
+use dbmodel::{Catalog, CcMethod, LogSet, LogicalItemId, SiteId, Transaction, TxnId, Value};
+use pam::RequestMsg;
+use selection::{CachedStlSelector, WorkloadSignal};
 use simkit::rng::SimRng;
 use simkit::time::SimTime;
-use trace::{Phase, SpanTimings, TraceLevel, TracePlane, SELECTION_CACHE_HIT};
+use trace::{TraceLevel, TracePlane};
 use transport::batch::SmallBatch;
 use transport::mailbox::MailboxOptions;
-use unified_cc::{ConfluentOp, QueueManager, RequestIssuer, RiAction, RiOutput};
+use unified_cc::QueueManager;
 
 use crate::config::{CcPolicy, ConfigError, RuntimeConfig};
 use crate::detector;
-use crate::registry::{ClientEvent, ClientMailbox, Registry};
+use crate::registry::Registry;
 use crate::report::RuntimeReport;
 use crate::shard::{self, ShardCmd, ShardHandle, ShardSender};
+use crate::spec::{TxnError, TxnReceipt, TxnSpec};
 use crate::stats::{MetricsShards, RuntimeStats, StatsSnapshot};
-
-/// How often a blocked client re-checks whether the database is shutting
-/// down underneath it.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+use crate::txn::ActiveTxn;
 
 thread_local! {
     /// The send batcher's per-shard scratch (see `Database::route_all`),
@@ -50,216 +45,37 @@ thread_local! {
     static SEND_BATCHES: RefCell<Vec<SmallBatch<RequestMsg>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The predeclared shape of one transaction: its read and write sets, and
-/// optionally a pinned origin site and concurrency-control method.
-#[derive(Debug, Clone, Default)]
-pub struct TxnSpec {
-    reads: Vec<LogicalItemId>,
-    writes: Vec<LogicalItemId>,
-    /// Commutative increments (`item += delta`): confluent, fast-path
-    /// eligible. On the coordinated path they stage
-    /// `predecessor.wrapping_add(delta)` from the write grant's value.
-    adds: Vec<(LogicalItemId, Value)>,
-    /// Blind absolute writes (`item = value`): confluent, fast-path
-    /// eligible.
-    puts: Vec<(LogicalItemId, Value)>,
-    origin: Option<SiteId>,
-    method: Option<CcMethod>,
-}
-
-impl TxnSpec {
-    /// An empty spec.
-    pub fn new() -> Self {
-        TxnSpec::default()
-    }
-
-    /// Add a logical item to the read set.
-    pub fn read(mut self, item: LogicalItemId) -> Self {
-        self.reads.push(item);
-        self
-    }
-
-    /// Add a logical item to the write set.
-    pub fn write(mut self, item: LogicalItemId) -> Self {
-        self.writes.push(item);
-        self
-    }
-
-    /// Add several logical items to the read set.
-    pub fn reads<I: IntoIterator<Item = LogicalItemId>>(mut self, items: I) -> Self {
-        self.reads.extend(items);
-        self
-    }
-
-    /// Add several logical items to the write set.
-    pub fn writes<I: IntoIterator<Item = LogicalItemId>>(mut self, items: I) -> Self {
-        self.writes.extend(items);
-        self
-    }
-
-    /// Add a commutative increment: `item += delta` (wrapping). Confluent —
-    /// eligible for the coordination-avoidance fast path of
-    /// [`Database::execute`].
-    pub fn add(mut self, item: LogicalItemId, delta: Value) -> Self {
-        self.adds.push((item, delta));
-        self
-    }
-
-    /// Add a blind absolute write: `item = value` (last-writer-wins).
-    /// Confluent — eligible for the coordination-avoidance fast path of
-    /// [`Database::execute`].
-    pub fn put(mut self, item: LogicalItemId, value: Value) -> Self {
-        self.puts.push((item, value));
-        self
-    }
-
-    /// Pin the origin site (default: round-robin over sites).
-    pub fn origin(mut self, site: SiteId) -> Self {
-        self.origin = Some(site);
-        self
-    }
-
-    /// Pin the concurrency-control method, overriding the database policy.
-    pub fn method(mut self, method: CcMethod) -> Self {
-        self.method = Some(method);
-        self
-    }
-
-    /// Every logical item this spec writes — declared writes, adds and
-    /// puts — deduplicated, as the coordinated path's write set.
-    fn write_items(&self) -> Vec<LogicalItemId> {
-        let mut items: Vec<LogicalItemId> = self
-            .writes
-            .iter()
-            .copied()
-            .chain(self.adds.iter().map(|&(item, _)| item))
-            .chain(self.puts.iter().map(|&(item, _)| item))
-            .collect();
-        items.sort_unstable();
-        items.dedup();
-        items
-    }
-}
-
-/// A served snapshot read: the assigned transaction id and the values
-/// observed at one watermark cut. `None` means the spec is not
-/// snapshot-eligible (or the plane is disabled) and the caller should
-/// route through coordination instead.
-type SnapshotAnswer = Option<(TxnId, BTreeMap<LogicalItemId, Value>)>;
-
-/// Why a transaction could not run to commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxnError {
-    /// The spec names a logical item the catalog does not know.
-    UnknownItem(CatalogError),
-    /// The transaction was restarted `attempts` times without reaching its
-    /// execution phase.
-    TooManyRestarts {
-        /// Number of attempts made.
-        attempts: u32,
-    },
-    /// A write was staged for an item outside the transaction's write set.
-    NotInWriteSet(LogicalItemId),
-    /// Every one of the reply plane's `reply_max_clients` mailboxes
-    /// stayed held by an open transaction for the whole bounded acquire
-    /// wait — the admission limit, reported instead of blocking `begin`
-    /// forever.
-    ReplyPlaneExhausted {
-        /// The configured `reply_max_clients` limit.
-        max_clients: usize,
-    },
-    /// The database shut down while the transaction was in flight.
-    ShuttingDown,
-    /// A shard stopped answering within the configured deadline
-    /// ([`crate::RuntimeConfig::request_timeout`] /
-    /// [`crate::RuntimeConfig::commit_timeout`] /
-    /// [`crate::RuntimeConfig::diagnostic_timeout`]), and the bounded
-    /// retry budget is exhausted. Before the execution phase this is a
-    /// clean failure (nothing was implemented); at commit time the
-    /// transaction's writes were already implemented when its locks
-    /// demoted — the outcome is *decided but unacknowledged*, never a
-    /// partial commit.
-    ShardUnavailable,
-}
-
-impl std::fmt::Display for TxnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TxnError::UnknownItem(e) => write!(f, "{e}"),
-            TxnError::TooManyRestarts { attempts } => {
-                write!(f, "transaction gave up after {attempts} restarts")
-            }
-            TxnError::NotInWriteSet(item) => {
-                write!(f, "item {item} is not in the transaction's write set")
-            }
-            TxnError::ReplyPlaneExhausted { max_clients } => write!(
-                f,
-                "all {max_clients} reply mailboxes are held by open transactions \
-                 (raise RuntimeConfig::reply_max_clients or commit sooner)"
-            ),
-            TxnError::ShuttingDown => write!(f, "database is shutting down"),
-            TxnError::ShardUnavailable => write!(
-                f,
-                "a shard stopped answering within the configured deadline"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TxnError {}
-
-/// What a committed transaction observed.
-#[derive(Debug, Clone)]
-pub struct TxnReceipt {
-    /// Transaction id of the committed incarnation.
-    pub id: TxnId,
-    /// The method the committed incarnation ran under. Fast-path commits
-    /// bypass the protocols entirely and report the default method as a
-    /// placeholder — check [`TxnReceipt::fastpath`].
-    pub method: CcMethod,
-    /// Restart attempts before the committed incarnation (0 = first try).
-    pub restarts: u32,
-    /// The values read, keyed by logical item.
-    pub reads: BTreeMap<LogicalItemId, Value>,
-    /// True when the transaction committed through the
-    /// coordination-avoidance bypass (no grants, no queue time).
-    pub fastpath: bool,
-    /// True when the transaction was served from the MVCC snapshot plane
-    /// at the global read watermark (read-only; no coordination at all).
-    pub snapshot: bool,
-}
-
-struct Inner {
-    config: RuntimeConfig,
-    catalog: Catalog,
-    registry: Arc<Registry>,
-    shard_txs: Vec<ShardSender>,
-    site_index: HashMap<SiteId, usize>,
-    stats: Arc<RuntimeStats>,
+pub(crate) struct Inner {
+    pub(crate) config: RuntimeConfig,
+    pub(crate) catalog: Catalog,
+    pub(crate) registry: Arc<Registry>,
+    pub(crate) shard_txs: Vec<ShardSender>,
+    pub(crate) site_index: HashMap<SiteId, usize>,
+    pub(crate) stats: Arc<RuntimeStats>,
     /// Thread-striped metric shards: the commit path records into its own
     /// stripe; stripes are merged only at epoch-refit boundaries and at
     /// shutdown. There is no global metrics mutex.
-    metrics: MetricsShards,
+    pub(crate) metrics: MetricsShards,
     selector: Mutex<CachedStlSelector>,
     mix_rng: Mutex<SimRng>,
     /// Per-method selection tally, indexed by [`method_code`] — a fixed
     /// atomic array, the last lock the stats read path used to take.
     /// [`Database::shutdown`] folds it back into the report's `BTreeMap`.
     selection_counts: [AtomicU64; 3],
-    next_txn_id: AtomicU64,
-    ts_counter: AtomicU64,
+    pub(crate) next_txn_id: AtomicU64,
+    pub(crate) ts_counter: AtomicU64,
     started: Instant,
-    stopped: Arc<AtomicBool>,
+    pub(crate) stopped: Arc<AtomicBool>,
     /// The armed fault-injection plane wrapping the client→shard
     /// transport boundary (`None` when the config schedules no faults).
     faults: Option<Arc<faultsim::FaultPlane>>,
     /// The flight-recorder tracing plane (see [`trace`]); shared with the
     /// shard threads and the deadlock detector.
-    trace: Arc<TracePlane>,
+    pub(crate) trace: Arc<TracePlane>,
     /// The global commit clock: coordinated commits draw/retire their
     /// stamp here; snapshot reads load its watermark. Shared with the
     /// shard threads (fast-path stamping and version-chain pruning).
-    clock: Arc<crate::clock::CommitClock>,
+    pub(crate) clock: Arc<crate::clock::CommitClock>,
     /// Keeps the serializability-violation observer alive: a failing
     /// oracle replay anywhere in the process latches this database's
     /// postmortem dump.
@@ -274,7 +90,7 @@ struct Inner {
 /// shards.
 #[derive(Clone)]
 pub struct Database {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl Database {
@@ -467,16 +283,10 @@ impl Database {
     /// under the fault plane) is skipped rather than blocking the caller
     /// forever.
     pub fn waiting_transactions(&self) -> Vec<TxnId> {
-        let deadline = self.inner.config.diagnostic_timeout;
-        let mut waiting = Vec::new();
-        for shard in &self.inner.shard_txs {
-            let (tx, rx) = transport::oneshot::channel();
-            if shard.send(ShardCmd::Waiting(tx)).is_ok() {
-                if let Ok(mut txns) = rx.recv_timeout(deadline) {
-                    waiting.append(&mut txns);
-                }
-            }
-        }
+        let (shards, timeout) = (&self.inner.shard_txs, self.inner.config.diagnostic_timeout);
+        let asks = (0..shards.len()).map(|idx| (idx, ShardCmd::Waiting));
+        let answers = shard::ask(shards, timeout, asks);
+        let mut waiting: Vec<TxnId> = answers.flatten().flatten().collect();
         waiting.sort_unstable();
         waiting.dedup();
         waiting
@@ -487,15 +297,11 @@ impl Database {
     /// [`Database::waiting_transactions`]: an unresponsive shard's slice
     /// is missing from the snapshot instead of hanging the caller.
     pub fn log_snapshot(&self) -> LogSet {
-        let deadline = self.inner.config.diagnostic_timeout;
         let mut merged = LogSet::new();
-        for shard in &self.inner.shard_txs {
-            let (tx, rx) = transport::oneshot::channel();
-            if shard.send(ShardCmd::LogSnapshot(tx)).is_ok() {
-                if let Ok(slice) = rx.recv_timeout(deadline) {
-                    merge_logs(&mut merged, &slice);
-                }
-            }
+        let (shards, timeout) = (&self.inner.shard_txs, self.inner.config.diagnostic_timeout);
+        let asks = (0..shards.len()).map(|idx| (idx, ShardCmd::LogSnapshot));
+        for slice in shard::ask(shards, timeout, asks).flatten() {
+            merge_logs(&mut merged, &slice);
         }
         merged
     }
@@ -545,210 +351,18 @@ impl Database {
     }
 
     /// Open a transaction and drive it to its execution phase: all requests
-    /// granted, read values in hand. Restarts are retried internally.
+    /// granted, read values in hand. Restarts are retried internally under
+    /// fresh ids, re-arming the transaction's one reply mailbox.
     ///
     /// Pure read-only shapes (with
     /// [`crate::RuntimeConfig::snapshot_reads`] on, no pinned method) are
-    /// served from the MVCC snapshot plane instead: the returned
-    /// transaction already holds its reads — observed at the global read
-    /// watermark, with no locks, queue entries or restart exposure —
-    /// and its [`ActiveTxn::commit`] is a pure local accounting step.
-    /// Staging a write on such a transaction fails with
-    /// [`TxnError::NotInWriteSet`], exactly as it would on the
-    /// coordinated path.
-    ///
-    /// The reply endpoint is acquired **once** here and reused across
-    /// every restart incarnation — the whole point of the mailbox slab:
-    /// registration re-arms the same mailbox under the new transaction id
-    /// instead of allocating a channel.
+    /// served from the MVCC snapshot plane first: the transaction holds
+    /// reads observed at the global read watermark, its
+    /// [`ActiveTxn::commit`] is local accounting, and staging a write fails
+    /// with [`TxnError::NotInWriteSet`]. A shard that cannot serve the
+    /// watermark refuses, and the transaction runs coordinated.
     pub fn begin(&self, spec: &TxnSpec) -> Result<ActiveTxn, TxnError> {
-        let inner = &self.inner;
-        if inner.config.snapshot_reads {
-            if let Some((txn_id, reads)) = self.snapshot_read_values(spec)? {
-                let origin = spec
-                    .origin
-                    .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
-                let txn = Transaction::builder(txn_id, origin)
-                    .reads(spec.reads.iter().copied())
-                    .build();
-                // A snapshot transaction never talks to a queue manager:
-                // its issuer exists only to carry the id/shape (empty
-                // access list, never started, never registered).
-                let ri = RequestIssuer::new(
-                    txn,
-                    TsTuple::new(Timestamp::ZERO, inner.config.pa_backoff_interval),
-                    Vec::new(),
-                );
-                return Ok(ActiveTxn::new_snapshot(
-                    self.clone(),
-                    ri,
-                    reads,
-                    inner.trace.client_lane(),
-                ));
-            }
-        }
-        let plane = &inner.trace;
-        let lane = plane.client_lane();
-        let mut mailbox =
-            inner
-                .registry
-                .client_mailbox()
-                .map_err(|e| TxnError::ReplyPlaneExhausted {
-                    max_clients: e.max_clients,
-                })?;
-        let mut attempt: u32 = 0;
-        loop {
-            if inner.stopped.load(Ordering::Relaxed) {
-                return Err(TxnError::ShuttingDown);
-            }
-            let t_begin = plane.now();
-            let hits_before = inner.stats.cache_hits.load(Ordering::Relaxed);
-            let method = spec.method.unwrap_or_else(|| self.pick_method(spec));
-            let t_sel = plane.now();
-            // Approximate under concurrency (the mirror is global), but
-            // exact on single-threaded runs — good enough for the
-            // hit-rate the selection-done arg carries.
-            let cache_hit = inner.stats.cache_hits.load(Ordering::Relaxed) > hits_before;
-            let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
-            plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, attempt);
-            let sel_arg = method_code(method) | if cache_hit { SELECTION_CACHE_HIT } else { 0 };
-            plane.record_at(lane, t_sel, txn_id.0, Phase::SelectionDone, sel_arg);
-            let ts = Timestamp(inner.ts_counter.fetch_add(1, Ordering::Relaxed) + 1);
-            let origin = spec
-                .origin
-                .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
-            let txn = Transaction::builder(txn_id, origin)
-                .method(method)
-                .reads(spec.reads.iter().copied())
-                .writes(spec.write_items())
-                .build();
-            let accesses: Vec<(dbmodel::PhysicalItemId, AccessMode)> = inner
-                .catalog
-                .translate_txn(&txn)
-                .map_err(TxnError::UnknownItem)?
-                .into_iter()
-                .map(|op| (op.item, op.mode))
-                .collect();
-
-            if inner.registry.register(txn_id, method, &mut mailbox) {
-                // This registration fell off the lock-free path onto the
-                // overflow map — the transition into a degraded reply
-                // plane is the anomaly worth a flight-recorder dump
-                // (latched; no-op without a dump dir).
-                let _ = plane.trigger_postmortem("mailbox-overflow");
-            }
-            let mut ri = RequestIssuer::new(
-                txn,
-                TsTuple::new(ts, inner.config.pa_backoff_interval),
-                accesses,
-            );
-            let begun = Instant::now();
-            let out = ri.start();
-            let started_exec = out.actions.contains(&RiAction::StartExecution);
-            let n_sends = out.sends.len() as u32;
-            if let Err(e) = self.route_all(origin, out.sends) {
-                inner.registry.deregister(txn_id);
-                return Err(e);
-            }
-            let t_enq = plane.now();
-            plane.record_at(lane, t_enq, txn_id.0, Phase::TransportEnqueued, n_sends);
-            let timings = |exec_start: u64| SpanTimings {
-                begin: t_begin,
-                selection_done: t_sel,
-                enqueued: t_enq,
-                exec_start,
-                ..SpanTimings::default()
-            };
-            if started_exec {
-                // Degenerate empty transaction: straight to execution.
-                let t_exec = plane.now();
-                plane.record_at(lane, t_exec, txn_id.0, Phase::ExecutionStart, 0);
-                return Ok(ActiveTxn::new(
-                    self.clone(),
-                    ri,
-                    mailbox,
-                    begun,
-                    attempt,
-                    lane,
-                    timings(t_exec),
-                ));
-            }
-
-            match self.wait_for_execution(&mut ri, &mut mailbox, origin, method, lane)? {
-                WaitOutcome::Executing => {
-                    let t_exec = plane.now();
-                    plane.record_at(lane, t_exec, txn_id.0, Phase::ExecutionStart, 0);
-                    return Ok(ActiveTxn::new(
-                        self.clone(),
-                        ri,
-                        mailbox,
-                        begun,
-                        attempt,
-                        lane,
-                        timings(t_exec),
-                    ));
-                }
-                WaitOutcome::Restart { rejected } => {
-                    inner.registry.deregister(txn_id);
-                    let t_restart = plane.now();
-                    let outcome = if rejected {
-                        inner
-                            .stats
-                            .rejected_restarts
-                            .fetch_add(1, Ordering::Relaxed);
-                        plane.record_at(lane, t_restart, txn_id.0, Phase::RestartRejected, 0);
-                        TxnOutcome::RejectedRestart
-                    } else {
-                        inner
-                            .stats
-                            .deadlock_restarts
-                            .fetch_add(1, Ordering::Relaxed);
-                        plane.record_at(lane, t_restart, txn_id.0, Phase::RestartDeadlock, 0);
-                        TxnOutcome::DeadlockRestart
-                    };
-                    plane.record_restart(method, t_restart.saturating_sub(t_begin));
-                    inner.metrics.with_local(|m| {
-                        m.record_restart(method, outcome);
-                        m.record_lock_hold(
-                            method,
-                            simkit::time::Duration::from_secs_f64(begun.elapsed().as_secs_f64()),
-                            true,
-                        );
-                    });
-                    attempt += 1;
-                    if attempt > inner.config.max_restarts {
-                        inner.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        return Err(TxnError::TooManyRestarts { attempts: attempt });
-                    }
-                    self.restart_pause(txn_id, attempt);
-                }
-                WaitOutcome::TimedOut => {
-                    // Abort the incarnation's residual queue state (best
-                    // effort — the Aborts cross the fault plane too; the
-                    // detector's stranded-transaction sweep covers
-                    // whatever they don't reach) and retry under a fresh
-                    // id. Exhausting the budget is a clean
-                    // `ShardUnavailable`: nothing of this transaction was
-                    // ever implemented.
-                    let aborts: Vec<RequestMsg> = ri
-                        .accessed_items()
-                        .map(|(item, _)| RequestMsg::Abort { txn: txn_id, item })
-                        .collect();
-                    let _ = self.route_all(origin, aborts);
-                    inner.registry.deregister(txn_id);
-                    inner.stats.timeout_restarts.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                    if attempt > inner.config.max_restarts {
-                        inner
-                            .stats
-                            .shard_unavailable
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(TxnError::ShardUnavailable);
-                    }
-                    self.restart_pause(txn_id, attempt);
-                }
-            }
-        }
+        self.admit(spec, false)
     }
 
     /// Run one transaction end to end: open it, call `compute` with the
@@ -760,360 +374,32 @@ impl Database {
         F: FnMut(&BTreeMap<LogicalItemId, Value>) -> Vec<(LogicalItemId, Value)>,
     {
         let mut txn = self.begin(spec)?;
-        let writes = compute(txn.reads());
-        for (item, value) in writes {
+        for (item, value) in compute(txn.reads()) {
             txn.write(item, value)?;
         }
         txn.commit()
     }
 
     /// Run one predeclared transaction end to end, routing it around the
-    /// queue managers when its shape is invariant confluent — or, for
-    /// pure read-only shapes, around *everything*: with
-    /// [`crate::RuntimeConfig::snapshot_reads`] on, a shape classified
-    /// read-only (see [`selection::is_read_only`]) is served from the
-    /// per-item version chains at the global read watermark — no grants,
-    /// no wait edges, no restart exposure — and its receipt reports
-    /// [`TxnReceipt::snapshot`]. A shard that cannot serve the watermark
-    /// (chain pruned past it) refuses, counted in
-    /// [`StatsSnapshot::snapshot_refused`], and the transaction falls
-    /// through to the paths below.
-    ///
-    /// Shapes built only from reads, [`TxnSpec::add`]s and
-    /// [`TxnSpec::put`]s classify as [`Confluence::ConfluentFastPath`]
-    /// (see [`selection::classify`]) and are applied by the owning shard
-    /// in one direct command — no grants, no precedence entries, no
-    /// deadlock exposure. The owning queue manager still *refuses* the
-    /// bypass whenever a touched slot has queued or granted coordinated
-    /// work; on refusal — and for every non-confluent, pinned-method,
-    /// replicated-item or (with the safety check on) multi-site shape —
-    /// the transaction transparently runs the coordinated
-    /// `begin`/stage/`commit` path instead. Fast-path commits and
-    /// refusals surface in [`StatsSnapshot::fastpath_applied`] /
+    /// queue managers where its shape allows. A read-only shape (see
+    /// [`selection::is_read_only`]) is first served from the snapshot
+    /// plane as in [`Database::begin`]; its receipt reports
+    /// [`TxnReceipt::snapshot`]. A shape built only from reads,
+    /// [`TxnSpec::add`]s and [`TxnSpec::put`]s (see
+    /// [`selection::classify`]) is next applied by its owning shard in one
+    /// direct command, with no grants, precedence entries or deadlock
+    /// exposure; its receipt reports [`TxnReceipt::fastpath`]. The queue
+    /// manager refuses that bypass while a touched slot has coordinated
+    /// work. On any refusal, and for pinned-method, replicated-item or
+    /// (with the safety check on) multi-site shapes, the transaction runs
+    /// the coordinated `begin`/stage/`commit` path under a fresh id, each
+    /// add staging the value its write grant carried plus its delta.
+    /// Refusals are counted in [`StatsSnapshot::snapshot_refused`] and
     /// [`StatsSnapshot::fastpath_refused`].
     pub fn execute(&self, spec: &TxnSpec) -> Result<TxnReceipt, TxnError> {
-        // Read-only shapes try the MVCC snapshot plane first — even less
-        // coordination than the confluent bypass (no at-apply refusal
-        // window to lose: a watermark read conflicts with nothing).
-        if self.inner.config.snapshot_reads {
-            if let Some((txn_id, reads)) = self.snapshot_read_values(spec)? {
-                let inner = &self.inner;
-                inner.stats.committed.fetch_add(1, Ordering::Relaxed);
-                let plane = &inner.trace;
-                plane.record(plane.client_lane(), txn_id.0, Phase::Committed, 0);
-                return Ok(TxnReceipt {
-                    id: txn_id,
-                    method: CcMethod::TwoPhaseLocking,
-                    restarts: 0,
-                    reads,
-                    fastpath: false,
-                    snapshot: true,
-                });
-            }
-        }
-        if self.inner.config.confluence_fastpath {
-            if let Some(receipt) = self.try_fastpath(spec)? {
-                return Ok(receipt);
-            }
-        }
-        self.execute_coordinated(spec)
-    }
-
-    /// The coordinated half of [`Database::execute`]: a normal
-    /// `begin`/stage/`commit` incarnation. `add` ops stage the
-    /// predecessor value the write grant carried plus their (per-item
-    /// accumulated) delta; `put` ops stage their value directly.
-    fn execute_coordinated(&self, spec: &TxnSpec) -> Result<TxnReceipt, TxnError> {
-        let mut txn = self.begin(spec)?;
-        let mut deltas: BTreeMap<LogicalItemId, Value> = BTreeMap::new();
-        for &(item, delta) in &spec.adds {
-            let slot = deltas.entry(item).or_insert(0);
-            *slot = slot.wrapping_add(delta);
-        }
-        for (&item, &delta) in &deltas {
-            let base = txn.read(item).unwrap_or(0);
-            txn.write(item, base.wrapping_add(delta))?;
-        }
-        for &(item, value) in &spec.puts {
-            txn.write(item, value)?;
-        }
+        let mut txn = self.admit(spec, true)?;
+        txn.stage_confluent(spec)?;
         txn.commit()
-    }
-
-    /// Attempt the coordination-avoidance bypass. `Ok(None)` means "run
-    /// coordinated": the shape is not confluent, the spec pins a method,
-    /// a written item is replicated, the footprint spans several sites
-    /// while the safety check is on (the bypass is atomic only within
-    /// one shard's command order), or the owning queue manager refused.
-    fn try_fastpath(&self, spec: &TxnSpec) -> Result<Option<TxnReceipt>, TxnError> {
-        let inner = &self.inner;
-        if spec.method.is_some() {
-            return Ok(None);
-        }
-        let mut profile = OpProfile::empty();
-        if !spec.reads.is_empty() {
-            profile = profile.with(OpProfile::READS);
-        }
-        if !spec.adds.is_empty() {
-            profile = profile.with(OpProfile::ADDS);
-        }
-        if !spec.puts.is_empty() {
-            profile = profile.with(OpProfile::PUTS);
-        }
-        if !spec.writes.is_empty() {
-            // Declared read-modify-write items: their commit values come
-            // from arbitrary computation over coordinated reads.
-            profile = profile.with(OpProfile::RMW_WRITES);
-        }
-        let writes = spec.adds.len() + spec.puts.len() + spec.writes.len();
-        // Pure classification — identical to the verdict the routed
-        // selection cache memoizes for this profile (classification is
-        // model-independent by construction), so the bypass gate never
-        // takes the selector mutex.
-        if classify(profile, spec.reads.len(), writes) == Confluence::Coordinated {
-            return Ok(None);
-        }
-        let plane = &inner.trace;
-        let lane = plane.client_lane();
-        let t_begin = plane.now();
-        let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let origin = spec
-            .origin
-            .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
-        // Translate: reads go to the preferred copy, adds/puts to the
-        // single physical copy. Replicated written items fall back to the
-        // coordinated path, which knows how to fan a write out.
-        let mut per_site: BTreeMap<SiteId, Vec<ConfluentOp>> = BTreeMap::new();
-        for &item in &spec.reads {
-            let copy = inner
-                .catalog
-                .read_copy(item, origin)
-                .map_err(TxnError::UnknownItem)?;
-            per_site
-                .entry(copy.site)
-                .or_default()
-                .push(ConfluentOp::Read(copy));
-        }
-        for &(item, delta) in &spec.adds {
-            let copies = inner
-                .catalog
-                .physical_copies(item)
-                .map_err(TxnError::UnknownItem)?;
-            if copies.len() != 1 {
-                return Ok(None);
-            }
-            per_site
-                .entry(copies[0].site)
-                .or_default()
-                .push(ConfluentOp::Add(copies[0], delta));
-        }
-        for &(item, value) in &spec.puts {
-            let copies = inner
-                .catalog
-                .physical_copies(item)
-                .map_err(TxnError::UnknownItem)?;
-            if copies.len() != 1 {
-                return Ok(None);
-            }
-            per_site
-                .entry(copies[0].site)
-                .or_default()
-                .push(ConfluentOp::Put(copies[0], value));
-        }
-        if inner.config.test_hooks.confluence_check && per_site.len() != 1 {
-            return Ok(None);
-        }
-        let mut n_ops = 0u32;
-        let mut pending = Vec::with_capacity(per_site.len());
-        for (site, ops) in per_site {
-            let idx = *inner
-                .site_index
-                .get(&site)
-                .expect("catalog routed an op to an unknown site");
-            n_ops += ops.len() as u32;
-            let (tx, rx) = transport::oneshot::channel();
-            if inner.shard_txs[idx]
-                .send(ShardCmd::ApplyConfluent {
-                    origin,
-                    txn: txn_id,
-                    ops,
-                    reply: tx,
-                })
-                .is_err()
-            {
-                return Err(TxnError::ShuttingDown);
-            }
-            pending.push(rx);
-        }
-        let mut reads = BTreeMap::new();
-        let mut refused = false;
-        for rx in pending {
-            // Bounded: a shard mid-outage must not hang the bypass. The
-            // timeout is NOT a refusal — the command may still apply when
-            // the shard recovers, so falling back to the coordinated path
-            // here could double-apply. The whole transaction fails
-            // instead.
-            match rx.recv_timeout(inner.config.diagnostic_timeout) {
-                Ok(Some(values)) => {
-                    for (item, value) in values {
-                        reads.insert(item.logical, value);
-                    }
-                }
-                Ok(None) => refused = true,
-                Err(transport::oneshot::RecvError::Disconnected) => {
-                    return Err(TxnError::ShuttingDown)
-                }
-                Err(transport::oneshot::RecvError::Timeout) => {
-                    inner
-                        .stats
-                        .shard_unavailable
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::ShardUnavailable);
-                }
-            }
-        }
-        if refused {
-            inner.stats.fastpath_refused.fetch_add(1, Ordering::Relaxed);
-            // Nothing is recorded for the refused incarnation: it never
-            // entered any log and its id is simply abandoned.
-            return Ok(None);
-        }
-        let t_applied = plane.now();
-        inner.stats.committed.fetch_add(1, Ordering::Relaxed);
-        inner.stats.fastpath_applied.fetch_add(1, Ordering::Relaxed);
-        plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, 0);
-        plane.record_at(lane, t_applied, txn_id.0, Phase::FastPathApplied, n_ops);
-        plane.record_at(lane, t_applied, txn_id.0, Phase::Committed, 0);
-        Ok(Some(TxnReceipt {
-            id: txn_id,
-            method: CcMethod::TwoPhaseLocking,
-            restarts: 0,
-            reads,
-            fastpath: true,
-            snapshot: false,
-        }))
-    }
-
-    /// Attempt to serve `spec` from the MVCC snapshot plane. `Ok(None)`
-    /// means "run another path": the shape is not pure read-only, the
-    /// spec pins a method, or some shard could not serve the watermark
-    /// (its chain was pruned past it — counted as a refusal). On success
-    /// the reads are final: every shard answered from the version chains
-    /// at one watermark load, each served read already entered that
-    /// shard's execution log stamped with the version it observed, and
-    /// the caller only has to account the commit.
-    ///
-    /// Consistency rests on the commit clock's draw/retire protocol: a
-    /// write's stamp is retired only after its installs are enqueued at
-    /// every owning shard, so by the time a watermark load observes the
-    /// stamp, per-shard FIFO order puts every install ahead of any
-    /// snapshot command sent afterwards. One watermark therefore cuts the
-    /// history at a transaction-consistent prefix across all shards.
-    fn snapshot_read_values(&self, spec: &TxnSpec) -> Result<SnapshotAnswer, TxnError> {
-        let inner = &self.inner;
-        if spec.method.is_some() {
-            return Ok(None);
-        }
-        let mut profile = OpProfile::empty();
-        if !spec.reads.is_empty() {
-            profile = profile.with(OpProfile::READS);
-        }
-        if !spec.adds.is_empty() {
-            profile = profile.with(OpProfile::ADDS);
-        }
-        if !spec.puts.is_empty() {
-            profile = profile.with(OpProfile::PUTS);
-        }
-        if !spec.writes.is_empty() {
-            profile = profile.with(OpProfile::RMW_WRITES);
-        }
-        let writes = spec.adds.len() + spec.puts.len() + spec.writes.len();
-        // Pure classification, identical to the snapshot verdict the
-        // routed selection cache memoizes for this shape — the snapshot
-        // gate never takes the selector mutex.
-        if !is_read_only(profile, spec.reads.len(), writes) {
-            return Ok(None);
-        }
-        let plane = &inner.trace;
-        let lane = plane.client_lane();
-        let t_begin = plane.now();
-        let txn_id = TxnId(inner.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let origin = spec
-            .origin
-            .unwrap_or_else(|| inner.catalog.origin_for(txn_id));
-        // The single watermark load that defines the snapshot: every
-        // shard serves at this timestamp.
-        let ts = inner.clock.watermark();
-        let mut per_site: BTreeMap<SiteId, Vec<dbmodel::PhysicalItemId>> = BTreeMap::new();
-        for &item in &spec.reads {
-            let copy = inner
-                .catalog
-                .read_copy(item, origin)
-                .map_err(TxnError::UnknownItem)?;
-            per_site.entry(copy.site).or_default().push(copy);
-        }
-        let mut n_items = 0u32;
-        let mut pending = Vec::with_capacity(per_site.len());
-        for (site, items) in per_site {
-            let idx = *inner
-                .site_index
-                .get(&site)
-                .expect("catalog routed a read to an unknown site");
-            n_items += items.len() as u32;
-            let (tx, rx) = transport::oneshot::channel();
-            if inner.shard_txs[idx]
-                .send(ShardCmd::SnapshotRead {
-                    txn: txn_id,
-                    ts,
-                    items,
-                    reply: tx,
-                })
-                .is_err()
-            {
-                return Err(TxnError::ShuttingDown);
-            }
-            pending.push(rx);
-        }
-        let mut reads = BTreeMap::new();
-        let mut refused = false;
-        for rx in pending {
-            // Bounded: a shard mid-outage must not hang the read. The
-            // timeout is surfaced as `ShardUnavailable` rather than a
-            // silent fallback — a fallback would be correct (reads apply
-            // nothing), but the caller asked for data a shard could not
-            // produce within its deadline, and the chaos harness asserts
-            // exactly this bounded failure instead of a torn answer.
-            match rx.recv_timeout(inner.config.diagnostic_timeout) {
-                Ok(Some(values)) => {
-                    for (item, value) in values {
-                        reads.insert(item.logical, value);
-                    }
-                }
-                Ok(None) => refused = true,
-                Err(transport::oneshot::RecvError::Disconnected) => {
-                    return Err(TxnError::ShuttingDown)
-                }
-                Err(transport::oneshot::RecvError::Timeout) => {
-                    inner
-                        .stats
-                        .shard_unavailable
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::ShardUnavailable);
-                }
-            }
-        }
-        if refused {
-            // A shard already serving the watermark logged its reads —
-            // harmless (they observed committed state); the abandoned id
-            // simply never commits. The fallback runs under a fresh id.
-            inner.stats.snapshot_refused.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        inner.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-        let t_served = plane.now();
-        plane.record_at(lane, t_begin, txn_id.0, Phase::Begin, 0);
-        plane.record_at(lane, t_served, txn_id.0, Phase::SnapshotRead, n_items);
-        Ok(Some((txn_id, reads)))
     }
 
     /// Stop accepting work, drain the shards and collapse the runtime into
@@ -1145,11 +431,7 @@ impl Database {
         let trace_report =
             (self.inner.trace.level() != TraceLevel::Off).then(|| self.trace_report());
         let mut selection_counts = BTreeMap::new();
-        for method in [
-            CcMethod::TwoPhaseLocking,
-            CcMethod::TimestampOrdering,
-            CcMethod::PrecedenceAgreement,
-        ] {
+        for method in CcMethod::ALL {
             let n =
                 self.inner.selection_counts[method_code(method) as usize].load(Ordering::Relaxed);
             if n > 0 {
@@ -1173,7 +455,7 @@ impl Database {
         SimTime::from_micros(self.inner.started.elapsed().as_micros() as u64)
     }
 
-    fn pick_method(&self, spec: &TxnSpec) -> CcMethod {
+    pub(crate) fn pick_method(&self, spec: &TxnSpec) -> CcMethod {
         let inner = &self.inner;
         let choice = match inner.config.policy {
             CcPolicy::Static(m) => m,
@@ -1228,129 +510,6 @@ impl Database {
         choice
     }
 
-    /// Block on the reply mailbox until the incarnation starts executing or
-    /// must restart.
-    fn wait_for_execution(
-        &self,
-        ri: &mut RequestIssuer,
-        events: &mut ClientMailbox,
-        origin: SiteId,
-        method: CcMethod,
-        lane: usize,
-    ) -> Result<WaitOutcome, TxnError> {
-        let txn = ri.txn_id().0;
-        // One request outcome is recorded per item per incarnation (the
-        // reply to the initial `Access`), matching the simulator's
-        // accounting; later replies for the same item (backoff re-grants,
-        // normal-grant upgrades) would otherwise skew the denial
-        // probabilities the STL selector consumes.
-        let mut outcome_seen: std::collections::HashSet<dbmodel::PhysicalItemId> =
-            std::collections::HashSet::new();
-        // The bounded wait: replies may keep trickling in (partial
-        // grants) without execution ever starting — a dropped Access or a
-        // crashed shard strands the incarnation — so the deadline is
-        // checked on every pass, not only on empty polls.
-        let deadline = Instant::now() + self.inner.config.request_timeout;
-        let poll = SHUTDOWN_POLL.min(self.inner.config.request_timeout);
-        loop {
-            if Instant::now() >= deadline {
-                return Ok(WaitOutcome::TimedOut);
-            }
-            let Some(event) = events.recv_timeout(txn, poll) else {
-                if self.inner.stopped.load(Ordering::Relaxed) {
-                    self.inner.registry.deregister(ri.txn_id());
-                    return Err(TxnError::ShuttingDown);
-                }
-                continue;
-            };
-            // One event may carry several replies (a shard's batched
-            // grants); their follow-up sends are routed in one batched
-            // call after the whole event is absorbed.
-            let mut outcome = None;
-            let mut sends: Vec<RequestMsg> = Vec::new();
-            let mut absorb = |out: RiOutput| {
-                for action in &out.actions {
-                    match action {
-                        RiAction::StartExecution => outcome = Some(WaitOutcome::Executing),
-                        RiAction::Restart { rejected } => {
-                            outcome = Some(WaitOutcome::Restart {
-                                rejected: *rejected,
-                            })
-                        }
-                        RiAction::BackoffRound => {
-                            self.inner
-                                .stats
-                                .backoff_rounds
-                                .fetch_add(1, Ordering::Relaxed);
-                            self.inner
-                                .metrics
-                                .with_local(|m| m.record_backoff_round(method));
-                            self.inner.trace.record(lane, txn, Phase::BackoffRound, 0);
-                        }
-                        RiAction::Committed | RiAction::FullyReleased => {
-                            unreachable!("cannot commit before executing")
-                        }
-                    }
-                }
-                sends.extend(out.sends);
-            };
-            match event {
-                ClientEvent::Replies(replies) => {
-                    for reply in replies.iter() {
-                        let first_for_item = outcome_seen.insert(reply.item());
-                        self.observe_reply(ri, method, reply, first_for_item);
-                        absorb(ri.on_reply(reply));
-                    }
-                }
-                ClientEvent::DeadlockVictim => absorb(ri.abort_for_deadlock()),
-            }
-            self.route_all(origin, sends)?;
-            if let Some(outcome) = outcome {
-                return Ok(outcome);
-            }
-        }
-    }
-
-    /// Per-reply metric accounting (feeds the STL estimators).
-    /// `first_for_item` is true for the first reply this incarnation
-    /// received for the item — only that one counts as a request outcome.
-    fn observe_reply(
-        &self,
-        ri: &RequestIssuer,
-        method: CcMethod,
-        reply: &ReplyMsg,
-        first_for_item: bool,
-    ) {
-        // A backoff proposal lifts the global timestamp clock (Lamport
-        // style): the proposing queue's thresholds sit at `new_ts`, and
-        // without adoption a T/O transaction retrying against that item
-        // would crawl towards it one tick per incarnation and exhaust its
-        // restart budget.
-        if let ReplyMsg::Backoff { new_ts, .. } = reply {
-            self.inner.ts_counter.fetch_max(new_ts.0, Ordering::Relaxed);
-        }
-        let mode = ri
-            .accessed_items()
-            .find(|(item, _)| *item == reply.item())
-            .map(|(_, mode)| mode)
-            .unwrap_or(AccessMode::Read);
-        self.inner.metrics.with_local(|m| {
-            if let ReplyMsg::Grant { value, .. } = reply {
-                // Counted per issued grant (value-carrying grants
-                // correspond to the queue's `GrantIssued` events;
-                // normal-grant upgrades carry no value and are not new
-                // grants).
-                if value.is_some() {
-                    m.record_grant(reply.item(), mode);
-                }
-            }
-            if first_for_item {
-                let denied = matches!(reply, ReplyMsg::Reject { .. } | ReplyMsg::Backoff { .. });
-                m.record_request_outcome(method, mode, denied);
-            }
-        });
-    }
-
     /// Send every message to the shard owning its item.
     ///
     /// This is the client-side **send batcher**: one pass appends each
@@ -1360,7 +519,7 @@ impl Database {
     /// transaction therefore costs each shard one enqueue and at most one
     /// wakeup per phase, however many messages it sends and however they
     /// interleave across shards.
-    fn route_all(&self, origin: SiteId, sends: Vec<RequestMsg>) -> Result<(), TxnError> {
+    pub(crate) fn route_all(&self, origin: SiteId, sends: Vec<RequestMsg>) -> Result<(), TxnError> {
         if sends.is_empty() {
             return Ok(());
         }
@@ -1372,12 +531,7 @@ impl Database {
             let mut batches = batches.borrow_mut();
             batches.resize_with(self.inner.shard_txs.len(), SmallBatch::new);
             for msg in sends {
-                let idx = *self
-                    .inner
-                    .site_index
-                    .get(&msg.item().site)
-                    .expect("catalog routed a message to an unknown site");
-                batches[idx].push(msg);
+                batches[self.inner.site_index[&msg.item().site]].push(msg);
             }
             // Every batch is taken, even after a failed send, so the
             // scratch is left empty for the next call.
@@ -1411,20 +565,13 @@ impl Database {
         let mut surviving = Vec::with_capacity(sends.len());
         let mut delivered = Vec::new();
         for msg in sends {
-            let link = *self
-                .inner
-                .site_index
-                .get(&msg.item().site)
-                .expect("catalog routed a message to an unknown site");
+            let link = self.inner.site_index[&msg.item().site];
             delivered.clear();
-            let crash = plane.on_send(link, msg, &mut delivered);
-            if let Some(signal) = crash {
-                if self.inner.shard_txs[link]
-                    .send(ShardCmd::Crash {
-                        outage: signal.outage,
-                    })
-                    .is_err()
-                {
+            if let Some(signal) = plane.on_send(link, msg, &mut delivered) {
+                let crash = ShardCmd::Crash {
+                    outage: signal.outage,
+                };
+                if self.inner.shard_txs[link].send(crash).is_err() {
                     return Err(TxnError::ShuttingDown);
                 }
             }
@@ -1432,29 +579,11 @@ impl Database {
         }
         Ok(surviving)
     }
-
-    /// Exponential backoff with a deterministic per-transaction jitter.
-    /// Basic T/O livelocks under sustained write contention unless retries
-    /// are spread out (the losing transaction must reach every queue before
-    /// a younger competitor does); doubling the pause up to ~128× the base
-    /// creates the quiet windows it needs, and the jitter keeps two
-    /// symmetric victims from re-colliding forever.
-    fn restart_pause(&self, txn: TxnId, attempt: u32) {
-        let base = self.inner.config.restart_backoff;
-        if base.is_zero() {
-            std::thread::yield_now();
-            return;
-        }
-        let scaled = base.saturating_mul(1u32 << attempt.min(7));
-        let jitter_us =
-            (txn.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) % scaled.as_micros().max(1) as u64;
-        std::thread::sleep(scaled + Duration::from_micros(jitter_us));
-    }
 }
 
 /// The CC method code carried in a `SelectionDone` event's arg (low
 /// byte; [`SELECTION_CACHE_HIT`] is OR-ed in above it).
-fn method_code(method: CcMethod) -> u32 {
+pub(crate) fn method_code(method: CcMethod) -> u32 {
     match method {
         CcMethod::TwoPhaseLocking => 0,
         CcMethod::TimestampOrdering => 1,
@@ -1467,347 +596,6 @@ fn merge_logs(into: &mut LogSet, from: &LogSet) {
         for entry in log.entries() {
             into.record_full(item, entry.txn, entry.mode, entry.commit_ts, entry.snapshot);
         }
-    }
-}
-
-enum WaitOutcome {
-    Executing,
-    Restart {
-        rejected: bool,
-    },
-    /// `request_timeout` expired before every access was granted: a
-    /// shard is down, a message was dropped, or the grant is parked
-    /// behind a partition. The incarnation is aborted and retried.
-    TimedOut,
-}
-
-/// A transaction in its execution phase: every request granted, read values
-/// available, writes stageable. Created by [`Database::begin`]; ends with
-/// [`ActiveTxn::commit`] or [`ActiveTxn::abort`] (dropping it aborts).
-pub struct ActiveTxn {
-    db: Database,
-    ri: RequestIssuer,
-    /// The reply endpoint of a coordinated transaction; `None` for a
-    /// snapshot transaction, which never receives a reply.
-    events: Option<ClientMailbox>,
-    reads: BTreeMap<LogicalItemId, Value>,
-    staged: BTreeMap<LogicalItemId, Value>,
-    begun: Instant,
-    restarts: u32,
-    finished: bool,
-    /// True when the reads were served from the MVCC snapshot plane at
-    /// the global read watermark: nothing is held anywhere, commit is a
-    /// local accounting step and abort has nothing to send.
-    snapshot: bool,
-    /// The client's trace lane, fixed at begin.
-    lane: usize,
-    /// Boundary timestamps collected so far (begin → exec-start); commit
-    /// fills the rest and folds them into the Section-5 accumulator.
-    timings: SpanTimings,
-}
-
-impl ActiveTxn {
-    fn new(
-        db: Database,
-        ri: RequestIssuer,
-        events: ClientMailbox,
-        begun: Instant,
-        restarts: u32,
-        lane: usize,
-        timings: SpanTimings,
-    ) -> Self {
-        let reads = ri
-            .read_results()
-            .iter()
-            .map(|(item, &value)| (item.logical, value))
-            .collect();
-        ActiveTxn {
-            db,
-            ri,
-            events: Some(events),
-            reads,
-            staged: BTreeMap::new(),
-            begun,
-            restarts,
-            finished: false,
-            snapshot: false,
-            lane,
-            timings,
-        }
-    }
-
-    fn new_snapshot(
-        db: Database,
-        ri: RequestIssuer,
-        reads: BTreeMap<LogicalItemId, Value>,
-        lane: usize,
-    ) -> Self {
-        ActiveTxn {
-            db,
-            ri,
-            events: None,
-            reads,
-            staged: BTreeMap::new(),
-            begun: Instant::now(),
-            restarts: 0,
-            finished: false,
-            snapshot: true,
-            lane,
-            timings: SpanTimings::default(),
-        }
-    }
-
-    /// True when this transaction's reads came from the MVCC snapshot
-    /// plane (see [`Database::begin`]).
-    pub fn is_snapshot(&self) -> bool {
-        self.snapshot
-    }
-
-    /// The id of this incarnation.
-    pub fn id(&self) -> TxnId {
-        self.ri.txn_id()
-    }
-
-    /// The concurrency-control method this incarnation runs under.
-    pub fn method(&self) -> CcMethod {
-        self.ri.txn().method
-    }
-
-    /// The value read for a logical item, if it is in the read set.
-    pub fn read(&self, item: LogicalItemId) -> Option<Value> {
-        self.reads.get(&item).copied()
-    }
-
-    /// All values read, keyed by logical item.
-    pub fn reads(&self) -> &BTreeMap<LogicalItemId, Value> {
-        &self.reads
-    }
-
-    /// Stage the value this transaction writes to `item` at commit.
-    pub fn write(&mut self, item: LogicalItemId, value: Value) -> Result<(), TxnError> {
-        if self.ri.txn().mode_for(item) != Some(AccessMode::Write) {
-            return Err(TxnError::NotInWriteSet(item));
-        }
-        self.staged.insert(item, value);
-        Ok(())
-    }
-
-    /// Commit: install the staged writes, release every lock, return the
-    /// receipt. Blocks until the release conversation completes (for T/O
-    /// transactions that executed on pre-scheduled locks this waits for the
-    /// trailing normal grants, per the semi-lock protocol).
-    pub fn commit(mut self) -> Result<TxnReceipt, TxnError> {
-        if self.snapshot {
-            // Nothing is held anywhere: the reads were served and logged
-            // at begin, so committing is pure local accounting.
-            self.finished = true;
-            self.db
-                .inner
-                .stats
-                .committed
-                .fetch_add(1, Ordering::Relaxed);
-            self.db
-                .inner
-                .trace
-                .record(self.lane, self.ri.txn_id().0, Phase::Committed, 0);
-            return Ok(TxnReceipt {
-                id: self.ri.txn_id(),
-                method: self.ri.txn().method,
-                restarts: 0,
-                reads: std::mem::take(&mut self.reads),
-                fastpath: false,
-                snapshot: true,
-            });
-        }
-        let origin = self.ri.txn().origin;
-        let method = self.ri.txn().method;
-        let plane = Arc::clone(&self.db.inner.trace);
-        let t_commit_start = plane.now();
-        plane.record_at(
-            self.lane,
-            t_commit_start,
-            self.ri.txn_id().0,
-            Phase::CommitStart,
-            0,
-        );
-        for (&item, &value) in &self.staged {
-            self.ri.set_write_value(item, value);
-        }
-        // A writing commit draws its global stamp before any release or
-        // demote is built: every install this transaction performs
-        // carries `cts`, and the stamp stays in flight — holding the read
-        // watermark below it — until the installs are enqueued at every
-        // owning shard.
-        let cts = if self.ri.txn().write_set().is_empty() {
-            None
-        } else {
-            let cts = self.db.inner.clock.draw();
-            self.ri.set_commit_ts(cts);
-            Some(cts)
-        };
-        let out = self.ri.on_execution_done();
-        let mut released = out.actions.contains(&RiAction::FullyReleased);
-        self.db.route_all(origin, out.sends)?;
-        // Bounded commit wait: T/O transactions that executed on
-        // pre-scheduled locks wait here for trailing normal grants, and a
-        // dead or partitioned shard would otherwise hold the client
-        // forever. At this point every write is already implemented (the
-        // releases/demotes travel the reliable channel), so expiry is
-        // "decided but unacknowledged" — surfaced as `ShardUnavailable`,
-        // never a partial commit.
-        let deadline = Instant::now() + self.db.inner.config.commit_timeout;
-        let poll = SHUTDOWN_POLL.min(self.db.inner.config.commit_timeout);
-        while !released {
-            if Instant::now() >= deadline {
-                self.finished = true;
-                self.db.inner.registry.deregister(self.ri.txn_id());
-                self.db
-                    .inner
-                    .stats
-                    .shard_unavailable
-                    .fetch_add(1, Ordering::Relaxed);
-                self.db
-                    .inner
-                    .trace
-                    .record(self.lane, self.ri.txn_id().0, Phase::Aborted, 1);
-                // Deliberately NOT retiring `cts`: the commit is decided
-                // but unacknowledged, so the read watermark stalls below
-                // it — snapshot reads keep serving the last provably
-                // consistent prefix instead of racing an unconfirmed
-                // install (see [`crate::clock::CommitClock`]).
-                return Err(TxnError::ShardUnavailable);
-            }
-            let events = self
-                .events
-                .as_mut()
-                .expect("coordinated transaction has a reply mailbox");
-            let Some(event) = events.recv_timeout(self.ri.txn_id().0, poll) else {
-                if self.db.inner.stopped.load(Ordering::Relaxed) {
-                    break;
-                }
-                continue;
-            };
-            let replies = match event {
-                ClientEvent::Replies(replies) => replies,
-                // Executing or releasing transactions cannot be victims.
-                ClientEvent::DeadlockVictim => continue,
-            };
-            let mut sends: Vec<RequestMsg> = Vec::new();
-            for reply in replies.iter() {
-                let out: RiOutput = self.ri.on_reply(reply);
-                released = released || out.actions.contains(&RiAction::FullyReleased);
-                sends.extend(out.sends);
-            }
-            self.db.route_all(origin, sends)?;
-        }
-        // Every release/demote is now enqueued at its owning shard (the
-        // loop above routed the last of them), so retiring the stamp is
-        // safe: a watermark load that observes it happens-after these
-        // enqueues, and per-shard FIFO order puts the installs ahead of
-        // any snapshot command sent from then on.
-        if let Some(cts) = cts {
-            self.db.inner.clock.retire(cts);
-        }
-        self.finished = true;
-        self.db.inner.registry.deregister(self.ri.txn_id());
-        self.db
-            .inner
-            .stats
-            .committed
-            .fetch_add(1, Ordering::Relaxed);
-        {
-            // Recorded into the calling thread's own metric stripe — the
-            // commit path takes no lock shared with admission or the
-            // epoch re-fit.
-            let latency = simkit::time::Duration::from_secs_f64(self.begun.elapsed().as_secs_f64());
-            self.db.inner.metrics.with_local(|m| {
-                m.record_commit(method, latency);
-                m.record_lock_hold(method, latency, false);
-            });
-        }
-        let t_committed = plane.now();
-        plane.record_at(
-            self.lane,
-            t_committed,
-            self.ri.txn_id().0,
-            Phase::Committed,
-            0,
-        );
-        let mut timings = self.timings;
-        timings.commit_start = t_commit_start;
-        timings.committed = t_committed;
-        plane.record_span(method, &timings);
-        Ok(TxnReceipt {
-            id: self.ri.txn_id(),
-            method,
-            restarts: self.restarts,
-            reads: std::mem::take(&mut self.reads),
-            fastpath: false,
-            snapshot: false,
-        })
-    }
-
-    /// Abort: drop every lock and queue entry without implementing
-    /// anything.
-    pub fn abort(mut self) {
-        self.abort_inner();
-    }
-
-    fn abort_inner(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        if self.snapshot {
-            // Nothing was ever held or queued anywhere; the logged reads
-            // observed committed state and are harmless to leave behind.
-            self.db
-                .inner
-                .stats
-                .user_aborts
-                .fetch_add(1, Ordering::Relaxed);
-            self.db
-                .inner
-                .trace
-                .record(self.lane, self.ri.txn_id().0, Phase::Aborted, 0);
-            return;
-        }
-        let origin = self.ri.txn().origin;
-        let sends: Vec<RequestMsg> = self
-            .ri
-            .accessed_items()
-            .map(|(item, _)| RequestMsg::Abort {
-                txn: self.ri.txn_id(),
-                item,
-            })
-            .collect();
-        let _ = self.db.route_all(origin, sends);
-        self.db.inner.registry.deregister(self.ri.txn_id());
-        self.db
-            .inner
-            .stats
-            .user_aborts
-            .fetch_add(1, Ordering::Relaxed);
-        self.db
-            .inner
-            .trace
-            .record(self.lane, self.ri.txn_id().0, Phase::Aborted, 0);
-    }
-}
-
-impl Drop for ActiveTxn {
-    fn drop(&mut self) {
-        self.abort_inner();
-    }
-}
-
-impl std::fmt::Debug for ActiveTxn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActiveTxn")
-            .field("id", &self.ri.txn_id())
-            .field("method", &self.ri.txn().method)
-            .field("phase", &self.ri.phase())
-            .finish()
     }
 }
 
@@ -1824,10 +612,21 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbmodel::ReplicationPolicy;
+    use dbmodel::{ReplicationPolicy, Timestamp};
+    use std::time::Duration;
+    use trace::Phase;
+    use unified_cc::ConfluentOp;
 
     fn li(i: u64) -> LogicalItemId {
         LogicalItemId(i)
+    }
+
+    /// Take shard 0 down for `ms` milliseconds.
+    fn crash(db: &Database, ms: u64) {
+        let outage = Duration::from_millis(ms);
+        assert!(db.inner.shard_txs[0]
+            .send(ShardCmd::Crash { outage })
+            .is_ok());
     }
 
     fn config(shards: u32, items: u64) -> RuntimeConfig {
@@ -1888,12 +687,25 @@ mod tests {
         assert!(report.serializable().is_ok());
     }
 
+    /// An unknown item is rejected before any selection, tally or trace.
     #[test]
     fn unknown_item_is_reported() {
-        let db = Database::open(config(1, 2)).unwrap();
+        let db = Database::open(RuntimeConfig {
+            policy: CcPolicy::DynamicStl,
+            trace: trace::TraceConfig {
+                level: TraceLevel::Full,
+                ..trace::TraceConfig::default()
+            },
+            ..config(1, 2)
+        })
+        .unwrap();
         let err = db.begin(&TxnSpec::new().read(li(99))).unwrap_err();
         assert!(matches!(err, TxnError::UnknownItem(_)));
-        db.shutdown();
+        let err = db.begin(&TxnSpec::new().read(li(0)).write(li(99)));
+        assert!(matches!(err.unwrap_err(), TxnError::UnknownItem(_)));
+        assert_eq!(db.stats().selections, 0, "no selection for a rejected spec");
+        assert!(db.trace_snapshot().is_empty(), "nothing traced");
+        assert!(db.shutdown().unwrap().selection_counts.is_empty());
     }
 
     #[test]
@@ -2322,21 +1134,21 @@ mod tests {
     /// The only shard is taken down for far longer than the whole retry
     /// budget; the client's bounded request wait aborts each incarnation
     /// at `request_timeout`, exhausts `max_restarts`, and surfaces a
-    /// clean `ShardUnavailable` well before the outage ends.
+    /// clean `ShardUnavailable` well before the outage ends — traced, with
+    /// one request-timeout terminal event per incarnation.
     #[test]
     fn dead_shard_request_wait_is_bounded() {
         let db = Database::open(RuntimeConfig {
             request_timeout: Duration::from_millis(40),
             max_restarts: 1,
+            trace: trace::TraceConfig {
+                level: TraceLevel::Full,
+                ..trace::TraceConfig::default()
+            },
             ..config(1, 4)
         })
         .unwrap();
-        db.inner.shard_txs[0]
-            .send(ShardCmd::Crash {
-                outage: Duration::from_millis(400),
-            })
-            .map_err(|_| ())
-            .unwrap();
+        crash(&db, 400);
         let begun = Instant::now();
         let err = db.begin(&TxnSpec::new().write(li(0))).unwrap_err();
         assert_eq!(err, TxnError::ShardUnavailable);
@@ -2349,6 +1161,16 @@ mod tests {
         assert!(stats.timeout_restarts >= 1, "each expiry is counted");
         assert_eq!(stats.shard_unavailable, 1);
         assert_eq!(stats.committed, 0, "nothing was implemented");
+        // Two incarnations, each ended once, by the request timeout.
+        let events = db.trace_snapshot();
+        let begins = events.iter().filter(|e| e.phase == Phase::Begin).count();
+        let ends: Vec<_> = events.iter().filter(|e| e.phase.is_terminal()).collect();
+        assert_eq!((begins, ends.len()), (2, 2), "{events:?}");
+        let timed_out = (Phase::Aborted, trace::ABORT_REQUEST_TIMEOUT);
+        assert!(ends.iter().all(|e| (e.phase, e.arg) == timed_out));
+        let log = trace::TraceLog::from_events(events);
+        assert!(log.lifecycle_violations().is_empty());
+        assert_eq!(stats.timeout_restarts, 2);
         db.shutdown();
     }
 
@@ -2366,12 +1188,7 @@ mod tests {
             db.run_transaction(&TxnSpec::new().write(li(i)), |_| vec![(li(i), 1)])
                 .unwrap();
         }
-        db.inner.shard_txs[0]
-            .send(ShardCmd::Crash {
-                outage: Duration::from_millis(300),
-            })
-            .map_err(|_| ())
-            .unwrap();
+        crash(&db, 300);
         let begun = Instant::now();
         let waiting = db.waiting_transactions();
         let snapshot = db.log_snapshot();
@@ -2527,7 +1344,6 @@ mod tests {
             let (tx, rx) = transport::oneshot::channel();
             db.inner.shard_txs[idx]
                 .send(ShardCmd::ApplyConfluent {
-                    origin: SiteId(0),
                     txn: f,
                     ops,
                     reply: tx,
@@ -2659,12 +1475,7 @@ mod tests {
             ..config(1, 4)
         })
         .unwrap();
-        db.inner.shard_txs[0]
-            .send(ShardCmd::Crash {
-                outage: Duration::from_millis(400),
-            })
-            .map_err(|_| ())
-            .unwrap();
+        crash(&db, 400);
         let begun = Instant::now();
         let err = db.execute(&TxnSpec::new().read(li(0))).unwrap_err();
         assert_eq!(err, TxnError::ShardUnavailable);

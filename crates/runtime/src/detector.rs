@@ -39,7 +39,7 @@ use trace::{Phase, TracePlane};
 use unified_cc::WaitForGraph;
 
 use crate::registry::Registry;
-use crate::shard::{ShardCmd, ShardSender};
+use crate::shard::{self, ShardCmd, ShardSender};
 use crate::stats::RuntimeStats;
 
 /// How long the detector waits for one shard's edge report before skipping
@@ -92,15 +92,10 @@ pub(crate) fn scan_once(
     edges: &mut Vec<(TxnId, TxnId)>,
 ) {
     debug_assert!(edges.is_empty());
-    for shard in shards {
-        let (tx, rx) = transport::oneshot::channel();
-        if shard.send(ShardCmd::WaitEdges(tx)).is_err() {
-            continue; // shard already shut down
-        }
-        match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {
-            Ok(shard_edges) => edges.extend(shard_edges),
-            Err(_) => continue, // slow or shut-down shard: skip this scan
-        }
+    // A slow or shut-down shard is skipped for this scan.
+    let asks = (0..shards.len()).map(|idx| (idx, ShardCmd::WaitEdges));
+    for shard_edges in shard::ask(shards, EDGE_REPORT_TIMEOUT, asks).flatten() {
+        edges.extend(shard_edges);
     }
     if edges.is_empty() {
         return;
@@ -129,14 +124,11 @@ pub(crate) fn sweep_stranded(
     suspects: &mut HashSet<TxnId>,
 ) {
     let mut next_suspects: HashSet<TxnId> = HashSet::new();
-    for shard in shards {
-        let (tx, rx) = transport::oneshot::channel();
-        if shard.send(ShardCmd::PresentTxns(tx)).is_err() {
-            continue;
-        }
-        let present = match rx.recv_timeout(EDGE_REPORT_TIMEOUT) {
-            Ok(present) => present,
-            Err(_) => continue, // mid-outage or shut down: next sweep
+    let asks = (0..shards.len()).map(|idx| (idx, ShardCmd::PresentTxns));
+    let answers = shard::ask(shards, EDGE_REPORT_TIMEOUT, asks);
+    for (shard, present) in shards.iter().zip(answers) {
+        let Ok(present) = present else {
+            continue; // mid-outage or shut down: next sweep
         };
         let mut confirmed = Vec::new();
         for txn in present {

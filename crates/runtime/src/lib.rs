@@ -55,19 +55,24 @@ pub mod report;
 
 mod clock;
 mod detector;
+mod path;
 mod registry;
 mod shard;
+mod spec;
 mod stats;
+mod txn;
 
 #[doc(hidden)]
 pub use config::TestHooks;
 pub use config::{CcPolicy, ConfigError, RuntimeConfig};
-pub use db::{ActiveTxn, Database, TxnError, TxnReceipt, TxnSpec};
+pub use db::Database;
 // The fault-plane vocabulary callers need to arm [`RuntimeConfig::faults`]
 // and consume [`Database::fault_counters`].
 pub use faultsim::{FaultCounters, FaultProfile, FaultSchedule};
 pub use report::RuntimeReport;
+pub use spec::{TxnError, TxnReceipt, TxnSpec};
 pub use stats::StatsSnapshot;
+pub use txn::ActiveTxn;
 // The tracing-plane vocabulary callers need to configure tracing
 // ([`RuntimeConfig::trace`]) and consume [`Database::trace_report`] /
 // [`Database::trace_snapshot`].

@@ -34,7 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dbmodel::{CcMethod, TxnId};
 use pam::ReplyMsg;
 use transport::batch::SmallBatch;
-use transport::mailbox::{Mailbox, MailboxOptions, MailboxRegistry, SlabExhausted};
+use transport::mailbox::{Mailbox, MailboxOptions, MailboxRegistry};
+
+use crate::spec::TxnError;
 
 /// An event delivered to the client thread driving one incarnation.
 // The variant size gap is deliberate: reply batches travel inline so no
@@ -114,10 +116,14 @@ impl Registry {
 
     /// Hand out the reply endpoint a client thread drives one
     /// transaction (all its incarnations) through: a reusable slab slot.
-    /// Fails with [`SlabExhausted`] when all `max_clients` mailboxes stay
-    /// held past the acquire timeout.
-    pub(crate) fn client_mailbox(&self) -> Result<ClientMailbox, SlabExhausted> {
-        self.mailboxes.acquire()
+    /// Fails with [`TxnError::ReplyPlaneExhausted`] when all `max_clients`
+    /// mailboxes stay held past the acquire timeout.
+    pub(crate) fn client_mailbox(&self) -> Result<ClientMailbox, TxnError> {
+        self.mailboxes
+            .acquire()
+            .map_err(|e| TxnError::ReplyPlaneExhausted {
+                max_clients: e.max_clients,
+            })
     }
 
     /// Register a new incarnation on `mailbox`. Must complete before the

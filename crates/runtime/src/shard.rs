@@ -28,12 +28,13 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use dbmodel::{AccessMode, LogSet, PhysicalItemId, SiteId, Timestamp, TxnId, Value};
 use pam::{GrantClass, RequestMsg};
 use trace::{Phase, TraceLevel, TracePlane};
 use transport::batch::SmallBatch;
-use transport::oneshot::OneshotSender;
+use transport::oneshot::{OneshotSender, RecvError};
 use transport::ring::{RingReceiver, RingSender};
 use unified_cc::{ConfluentOp, QmEvent, QmSink, QueueManager};
 
@@ -64,10 +65,9 @@ pub(crate) enum ShardCmd {
     /// (a touched slot had coordinated work in flight) and the client
     /// must fall back to the coordinated path.
     ApplyConfluent {
-        origin: SiteId,
         txn: TxnId,
         ops: Vec<ConfluentOp>,
-        reply: OneshotSender<Option<Vec<(PhysicalItemId, Value)>>>,
+        reply: ServedReply,
     },
     /// Serve a read-only transaction from the item version chains at
     /// timestamp `ts` (the global read watermark the client loaded): no
@@ -81,7 +81,7 @@ pub(crate) enum ShardCmd {
         txn: TxnId,
         ts: Timestamp,
         items: Vec<PhysicalItemId>,
-        reply: OneshotSender<Option<Vec<(PhysicalItemId, Value)>>>,
+        reply: ServedReply,
     },
     /// Injected node fault: go unresponsive for `outage` (the inbox backs
     /// up, exerting real backpressure on clients), then come back having
@@ -90,7 +90,7 @@ pub(crate) enum ShardCmd {
     /// survive (they model state re-read from the durable log tap on
     /// restart); waiters that had not been granted are simply gone and
     /// their clients recover through the timeout/restart machinery.
-    Crash { outage: std::time::Duration },
+    Crash { outage: Duration },
     /// Report every transaction with any queue or lock presence on this
     /// shard (detector's stranded-transaction sweep).
     PresentTxns(OneshotSender<Vec<TxnId>>),
@@ -107,6 +107,33 @@ pub(crate) enum ShardCmd {
     /// Drain everything already enqueued, then exit, returning the final
     /// log slice through the join handle.
     Shutdown,
+}
+
+/// The answer channel of the coordination-free commands: `Some(values
+/// read)` when served, `None` when refused.
+pub(crate) type ServedReply = OneshotSender<Option<Vec<(PhysicalItemId, Value)>>>;
+
+/// The runtime's one oneshot send/collect/timeout loop: send each `(shard
+/// index, command)` its command built around a fresh reply channel, then
+/// yield the answers in order, each awaited for at most `timeout` (a
+/// closed inbox drops the command: `Disconnected`).
+pub(crate) fn ask<T, F>(
+    shards: &[ShardSender],
+    timeout: Duration,
+    cmds: impl IntoIterator<Item = (usize, F)>,
+) -> impl Iterator<Item = Result<T, RecvError>>
+where
+    F: FnOnce(OneshotSender<T>) -> ShardCmd,
+{
+    let pending: Vec<_> = cmds
+        .into_iter()
+        .map(|(idx, cmd)| {
+            let (tx, rx) = transport::oneshot::channel();
+            let _ = shards[idx].send(cmd(tx));
+            rx
+        })
+        .collect();
+    pending.into_iter().map(move |rx| rx.recv_timeout(timeout))
 }
 
 /// The producing end of a shard's inbox; clone-able, blocks while the
@@ -229,12 +256,7 @@ impl ShardState<'_> {
                 self.qm.handle_batch(origin, msgs.iter(), &mut self.sink);
                 self.fold_events();
             }
-            ShardCmd::ApplyConfluent {
-                origin,
-                txn,
-                ops,
-                reply,
-            } => {
+            ShardCmd::ApplyConfluent { txn, ops, reply } => {
                 // A writing fast-path transaction commits inside this one
                 // command, so its stamp is drawn and retired right here:
                 // the draw happens before any install (a concurrent
@@ -248,9 +270,7 @@ impl ShardState<'_> {
                 } else {
                     Timestamp::ZERO
                 };
-                let result = self
-                    .qm
-                    .apply_confluent(origin, txn, &ops, cts, &mut self.sink);
+                let result = self.qm.apply_confluent(txn, &ops, cts, &mut self.sink);
                 // Implemented events must land in the log slice in the
                 // shard's processing order, like every protocol command.
                 self.fold_events();

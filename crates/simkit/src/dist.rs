@@ -4,8 +4,8 @@
 //! exponential inter-arrival times (Poisson arrival process), uniform and
 //! Zipfian data-item selection (hot-spot workloads), and fixed values for
 //! deterministic delays. Everything is implemented via inverse-CDF /
-//! rejection sampling on top of [`SimRng`](crate::rng::SimRng) so the crate
-//! does not depend on any external distribution library.
+//! rejection sampling on top of [`SimRng`] so the crate does not depend on
+//! any external distribution library.
 
 use crate::rng::SimRng;
 

@@ -41,8 +41,9 @@ pub enum Phase {
     RestartRejected = 7,
     /// Client: the incarnation restarts as a deadlock victim.
     RestartDeadlock = 8,
-    /// Client: the transaction aborted for good (`arg` = 1 when the
-    /// user's closure aborted, 0 otherwise).
+    /// Client: the incarnation ended without commit or restart (`arg` =
+    /// [`ABORT_USER`], [`ABORT_COMMIT_UNACKNOWLEDGED`],
+    /// [`ABORT_REQUEST_TIMEOUT`] or [`ABORT_SHUTTING_DOWN`]).
     Aborted = 9,
     /// Shard: a drained command batch was received (`arg` = messages in
     /// the batch, `txn` = the first message's transaction).
@@ -128,6 +129,15 @@ impl Phase {
 /// Bit set in [`Phase::SelectionDone`]'s `arg` when the dynamic selector
 /// answered from its cache (the low byte is the method code).
 pub const SELECTION_CACHE_HIT: u32 = 1 << 8;
+
+/// [`Phase::Aborted`] reason: the caller aborted or dropped the transaction.
+pub const ABORT_USER: u32 = 1;
+/// [`Phase::Aborted`] reason: the commit was decided but never acknowledged.
+pub const ABORT_COMMIT_UNACKNOWLEDGED: u32 = 2;
+/// [`Phase::Aborted`] reason: the request wait expired before execution.
+pub const ABORT_REQUEST_TIMEOUT: u32 = 3;
+/// [`Phase::Aborted`] reason: the database shut down under the incarnation.
+pub const ABORT_SHUTTING_DOWN: u32 = 4;
 
 /// One decoded flight-recorder record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

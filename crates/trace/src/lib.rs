@@ -35,6 +35,9 @@ pub use collect::{
     LaneDwell, MethodBreakdown, Segment, Span, SpanTimings, SpanTree, TraceLog, TraceReport,
     SEGMENTS,
 };
-pub use event::{Phase, TraceEvent, NUM_PHASES, SELECTION_CACHE_HIT};
+pub use event::{
+    Phase, TraceEvent, ABORT_COMMIT_UNACKNOWLEDGED, ABORT_REQUEST_TIMEOUT, ABORT_SHUTTING_DOWN,
+    ABORT_USER, NUM_PHASES, SELECTION_CACHE_HIT,
+};
 pub use plane::{TraceConfig, TraceLevel, TracePlane, CLIENT_LANES};
 pub use ring::FlightRing;

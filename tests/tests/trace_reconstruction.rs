@@ -201,3 +201,98 @@ fn trace_report_phase_sums_match_end_to_end_latency() {
     );
     db.shutdown().expect("shutdown");
 }
+
+/// Every entry route of the pipeline, once each, on one fully traced
+/// database: the terminal accounting the routes share must agree with
+/// the runtime's counters, and every admitted incarnation must end in
+/// exactly one terminal event.
+#[test]
+fn every_route_ends_each_incarnation_once() {
+    let (li, to) = (LogicalItemId, CcMethod::TimestampOrdering);
+    let db = Database::open(RuntimeConfig {
+        num_shards: 1,
+        num_items: 4,
+        commit_timeout: std::time::Duration::from_millis(40),
+        version_retain: 1,
+        ..traced_config(CcPolicy::Static(CcMethod::TwoPhaseLocking))
+    })
+    .unwrap();
+    let flags = |r: runtime::TxnReceipt| (r.snapshot, r.fastpath);
+    // `execute` served by a snapshot, then through the fast path.
+    assert_eq!(
+        flags(db.execute(&TxnSpec::new().read(li(2))).unwrap()),
+        (true, false)
+    );
+    assert_eq!(
+        flags(db.execute(&TxnSpec::new().add(li(3), 1)).unwrap()),
+        (false, true)
+    );
+    // `begin` with a snapshot, then `commit`, then `abort`; the same
+    // for coordinated `begin`.
+    let txn = db.begin(&TxnSpec::new().read(li(2))).unwrap();
+    assert_eq!(flags(txn.commit().unwrap()), (true, false));
+    db.begin(&TxnSpec::new().read(li(2))).unwrap().abort();
+    let txn = db.begin(&TxnSpec::new().write(li(2))).unwrap();
+    assert_eq!(flags(txn.commit().unwrap()), (false, false));
+    db.begin(&TxnSpec::new().write(li(2))).unwrap().abort();
+
+    // A fast-path refusal falls back: a coordinated holder keeps the
+    // increment off the bypass until it commits.
+    let holder = db.begin(&TxnSpec::new().write(li(0))).unwrap();
+    let worker = {
+        let db = db.clone();
+        std::thread::spawn(move || db.execute(&TxnSpec::new().add(li(0), 1)).unwrap())
+    };
+    while db.stats().fastpath_refused == 0 {
+        std::thread::yield_now();
+    }
+    holder.commit().unwrap();
+    let fallback = worker.join().unwrap();
+    let mut refused_ids = vec![fallback.id.0 - 1 - u64::from(fallback.restarts)];
+    assert_eq!(flags(fallback), (false, false));
+
+    // A commit that times out stalls the watermark; a chain pruned past
+    // it refuses the snapshot. A pure read is confluent too, so the
+    // fallback is the fast path.
+    let reader = db.begin(&TxnSpec::new().read(li(1)).method(to)).unwrap();
+    let mut writer = db.begin(&TxnSpec::new().write(li(1)).method(to)).unwrap();
+    writer.write(li(1), 9).unwrap();
+    assert_eq!(writer.commit().unwrap_err(), TxnError::ShardUnavailable);
+    reader.commit().unwrap();
+    for v in 1..=6 {
+        db.run_transaction(&TxnSpec::new().write(li(0)), |_| vec![(li(0), v)])
+            .unwrap();
+    }
+    let fallback = db.execute(&TxnSpec::new().read(li(0))).unwrap();
+    assert_eq!(fallback.reads[&li(0)], 6);
+    refused_ids.push(fallback.id.0 - 1);
+    assert_eq!(flags(fallback), (false, true));
+
+    let stats = db.stats();
+    assert_eq!((stats.snapshot_refused, stats.fastpath_refused), (1, 1));
+    let events = db.trace_snapshot();
+    assert_eq!(events.len() as u64, stats.trace_events, "no ring wrapped");
+    let log = TraceLog::from_events(events.iter().copied());
+    assert!(log.lifecycle_violations().is_empty());
+    for txn in log.txns() {
+        let client = log.events_of(txn).unwrap().iter();
+        let client: Vec<_> = client.filter(|e| e.phase.is_client_side()).collect();
+        let terminals = client.iter().filter(|e| e.phase.is_terminal()).count();
+        if refused_ids.contains(&txn) {
+            assert!(client.is_empty(), "refused id {txn} traced {client:?}");
+        } else if client.iter().any(|e| e.phase == Phase::Begin) {
+            assert_eq!(terminals, 1, "txn {txn}: {client:?}");
+        }
+    }
+    let count = |phase| log.count_phase(phase);
+    assert_eq!(count(Phase::Committed), stats.committed);
+    assert_eq!(count(Phase::FastPathApplied), stats.fastpath_applied);
+    assert_eq!(count(Phase::SnapshotRead), stats.snapshot_reads);
+    let aborted = |why| {
+        let aborts = events.iter().filter(|e| e.phase == Phase::Aborted);
+        aborts.filter(|e| e.arg == why).count() as u64
+    };
+    assert_eq!(aborted(trace::ABORT_USER), stats.user_aborts);
+    assert_eq!(aborted(trace::ABORT_COMMIT_UNACKNOWLEDGED), 1);
+    assert!(db.shutdown().unwrap().serializable().is_ok());
+}
